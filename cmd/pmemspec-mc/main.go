@@ -16,8 +16,8 @@
 //
 // Usage:
 //
-//	pmemspec-mc                         # full corpus, exhaustive schedules
-//	pmemspec-mc -quick                  # CI push gate: subsample, capped schedules
+//	pmemspec-mc                         # full corpus, exhaustive schedules (CI gate)
+//	pmemspec-mc -quick                  # subsample, capped schedules
 //	pmemspec-mc -pattern mt-lock -v     # one family, verbose
 //	pmemspec-mc -json > mc.json         # machine-readable report
 package main

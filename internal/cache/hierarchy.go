@@ -53,11 +53,9 @@ type Hierarchy struct {
 	l1s []*Cache
 	llc *Cache
 	// sharers holds, per memory block, the bitmap of L1s currently
-	// holding it (cores ≤ 64, per the paper's largest configuration) —
-	// a flat array over the simulated region, so the per-access sharer
-	// lookup is an index instead of a map probe.
-	sharers []uint64
-	base    mem.Addr
+	// holding it (cores ≤ 64, per the paper's largest configuration).
+	// Lookups panic outside the served region.
+	sharers *mem.BlockTable[uint64]
 
 	// InvalidationsSent counts cross-core invalidations (statistics).
 	InvalidationsSent uint64
@@ -70,25 +68,14 @@ func NewHierarchy(ncores, l1Bytes, l1Ways, llcBytes, llcWays int, base mem.Addr,
 	if ncores < 1 || ncores > 64 {
 		panic(fmt.Sprintf("cache: ncores %d out of range [1,64]", ncores))
 	}
-	nblocks := (memBytes + mem.BlockSize - 1) / mem.BlockSize
 	h := &Hierarchy{
 		llc:     New("LLC", llcBytes, llcWays),
-		sharers: make([]uint64, nblocks),
-		base:    base,
+		sharers: mem.NewBlockTable[uint64](base, memBytes),
 	}
 	for i := 0; i < ncores; i++ {
 		h.l1s = append(h.l1s, New(fmt.Sprintf("L1-%d", i), l1Bytes, l1Ways))
 	}
 	return h
-}
-
-// sharerIdx maps a block-aligned address into the sharer table.
-func (h *Hierarchy) sharerIdx(blk mem.Addr) uint64 {
-	i := uint64(blk-h.base) / mem.BlockSize
-	if blk < h.base || i >= uint64(len(h.sharers)) {
-		panic(fmt.Sprintf("cache: address %#x outside region [%#x,+%d blocks)", uint64(blk), uint64(h.base), len(h.sharers)))
-	}
-	return i
 }
 
 // L1 returns core's private L1 (for statistics and tests).
@@ -178,7 +165,7 @@ func (h *Hierarchy) CompleteStore(core int, a mem.Addr) {
 func (h *Hierarchy) fillL1(core int, blk mem.Addr, divergent *[mem.BlockSize]byte, res *AccessResult) *Line {
 	line, ev, evicted := h.l1s[core].Insert(blk)
 	line.divergent = divergent
-	h.sharers[h.sharerIdx(blk)] |= 1 << uint(core)
+	*h.sharers.Ptr(blk) |= 1 << uint(core)
 	if evicted {
 		h.clearSharer(core, ev.Addr)
 		if ev.Dirty || ev.Divergent != nil {
@@ -202,8 +189,11 @@ func (h *Hierarchy) fillL1(core int, blk mem.Addr, divergent *[mem.BlockSize]byt
 // dirtiness into the LLC copy (ownership transfers through the shared
 // cache in this simplified protocol).
 func (h *Hierarchy) invalidateOthers(core int, blk mem.Addr) {
-	si := h.sharerIdx(blk)
-	bm := h.sharers[si] &^ (1 << uint(core))
+	e := h.sharers.Find(blk)
+	if e == nil {
+		return
+	}
+	bm := *e &^ (1 << uint(core))
 	if bm == 0 {
 		return
 	}
@@ -226,14 +216,16 @@ func (h *Hierarchy) invalidateOthers(core int, blk mem.Addr) {
 			}
 		}
 	}
-	h.sharers[si] &= 1 << uint(core)
+	*e &= 1 << uint(core)
 }
 
 // evictFromLLC handles an LLC victim: invalidate all L1 copies (inclusive
 // hierarchy), merge their dirtiness, and report the final eviction.
 func (h *Hierarchy) evictFromLLC(ev Evicted, res *AccessResult) {
-	si := h.sharerIdx(ev.Addr)
-	bm := h.sharers[si]
+	var bm uint64
+	if e := h.sharers.Find(ev.Addr); e != nil {
+		bm, *e = *e, 0
+	}
 	for c := 0; bm != 0; c++ {
 		if bm&(1<<uint(c)) == 0 {
 			continue
@@ -249,12 +241,13 @@ func (h *Hierarchy) evictFromLLC(ev Evicted, res *AccessResult) {
 			}
 		}
 	}
-	h.sharers[si] = 0
 	res.LLCEvicted = append(res.LLCEvicted, ev)
 }
 
 func (h *Hierarchy) clearSharer(core int, blk mem.Addr) {
-	h.sharers[h.sharerIdx(blk)] &^= 1 << uint(core)
+	if e := h.sharers.Find(blk); e != nil {
+		*e &^= 1 << uint(core)
+	}
 }
 
 // FindBlock reports where a block currently resides: the owning L1 line
@@ -263,9 +256,9 @@ func (h *Hierarchy) FindBlock(core int, a mem.Addr) (l1 *Line, llc *Line) {
 	blk := mem.BlockAlign(a)
 	if l := h.l1s[core].Peek(blk); l != nil {
 		l1 = l
-	} else if bm := h.sharers[h.sharerIdx(blk)]; bm != 0 {
+	} else if e := h.sharers.Find(blk); e != nil && *e != 0 {
 		for c := 0; c < len(h.l1s); c++ {
-			if bm&(1<<uint(c)) != 0 {
+			if *e&(1<<uint(c)) != 0 {
 				if l := h.l1s[c].Peek(blk); l != nil {
 					l1 = l
 					break
@@ -282,8 +275,8 @@ func (h *Hierarchy) FindBlock(core int, a mem.Addr) (l1 *Line, llc *Line) {
 // not invalidate).
 func (h *Hierarchy) CleanBlock(a mem.Addr) {
 	blk := mem.BlockAlign(a)
-	if bm := h.sharers[h.sharerIdx(blk)]; bm != 0 {
-		for c := 0; bm != 0; c++ {
+	if e := h.sharers.Find(blk); e != nil {
+		for bm, c := *e, 0; bm != 0; c++ {
 			if bm&(1<<uint(c)) == 0 {
 				continue
 			}
@@ -309,5 +302,5 @@ func (h *Hierarchy) FlushAll() {
 		c.Flush()
 	}
 	h.llc.Flush()
-	clear(h.sharers)
+	h.sharers.Reset()
 }

@@ -520,8 +520,5 @@ func runCustom(design machine.Design, w workload.Workload, p workload.Params, mo
 	}
 	res.Metrics = runMetrics(m, rt, os)
 	res.Timeline = m.Timeline()
-	// The run's outputs are all extracted; recycle the machine's PM
-	// images so the next grid cell skips zeroing fresh 64 MB arrays.
-	m.Release()
 	return res, nil
 }

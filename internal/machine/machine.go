@@ -78,13 +78,13 @@ type Machine struct {
 	// core: HOPS's coherence-based inter-thread dependency tracking
 	// (sticky-M). A conflicting access from another core inherits the
 	// pending drain time as a dependency its next dfence must respect.
-	// Flat array over the PM region, indexed by block; the live flag and
-	// hopsLive* fields reproduce the bounded tracking-table semantics
-	// exactly: past 8192 live entries, stale ones are dropped, and a
-	// dropped entry no longer confers a dependency even to a core whose
-	// (lagging) clock still precedes its admission.
-	hopsPending   []hopsDep
-	hopsLiveList  []uint32
+	// The live flag and hopsLive* fields reproduce the bounded
+	// tracking-table semantics exactly: past 8192 live entries, stale
+	// ones are dropped, and a dropped entry no longer confers a
+	// dependency even to a core whose (lagging) clock still precedes its
+	// admission.
+	hopsPending   *mem.BlockTable[hopsDep]
+	hopsLiveList  []mem.Addr
 	hopsLiveCount int
 	// hopsDepHorizon is each core's inherited dependency drain horizon.
 	hopsDepHorizon []sim.Time
@@ -216,7 +216,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		if cfg.Design == HOPS {
 			m.bloom = pmc.NewBloom(cfg.BloomBuckets, cfg.BloomLookupCost)
-			m.hopsPending = make([]hopsDep, (cfg.MemBytes+mem.BlockSize-1)/mem.BlockSize)
+			m.hopsPending = mem.NewBlockTable[hopsDep](mem.DefaultBase, cfg.MemBytes)
 			m.hopsDepHorizon = make([]sim.Time, cfg.Cores)
 		}
 		onDrain := func(a mem.Addr, d []byte, at sim.Time) {
@@ -272,12 +272,17 @@ type hopsDep struct {
 // pending persist to the block as a dependency; a store additionally
 // publishes its own pending admission. An entry whose admission has
 // passed is simply no longer pending (no eager pruning needed with the
-// flat table).
+// per-block table).
 func (m *Machine) hopsTouch(core int, blk mem.Addr, now sim.Time, storeAdmit sim.Time, isStore bool) {
 	if m.hopsPending == nil {
 		return
 	}
-	d := &m.hopsPending[uint64(blk-mem.DefaultBase)/mem.BlockSize]
+	var d *hopsDep
+	if isStore {
+		d = m.hopsPending.Ptr(blk)
+	} else if d = m.hopsPending.Find(blk); d == nil || !d.live {
+		return
+	}
 	if d.live {
 		if d.admit <= now {
 			d.live = false
@@ -292,21 +297,21 @@ func (m *Machine) hopsTouch(core int, blk mem.Addr, now sim.Time, storeAdmit sim
 			m.hopsLiveCount++
 			if !d.inList {
 				d.inList = true
-				m.hopsLiveList = append(m.hopsLiveList, uint32(uint64(blk-mem.DefaultBase)/mem.BlockSize))
+				m.hopsLiveList = append(m.hopsLiveList, blk)
 			}
 		}
 		d.core, d.admit = int32(core), storeAdmit
 		if m.hopsLiveCount > 8192 {
 			kept := m.hopsLiveList[:0]
-			for _, bi := range m.hopsLiveList {
-				e := &m.hopsPending[bi]
+			for _, a := range m.hopsLiveList {
+				e := m.hopsPending.Find(a)
 				switch {
 				case !e.live:
 					e.inList = false
 				case e.admit <= now:
 					e.live, e.inList = false, false
 				default:
-					kept = append(kept, bi)
+					kept = append(kept, a)
 				}
 			}
 			m.hopsLiveList = kept
@@ -374,13 +379,9 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 // Space returns the simulated PM region.
 func (m *Machine) Space() *mem.Space { return m.space }
 
-// Release returns the machine's large recyclable buffers (the two PM
-// images) to their pools. Call it only after the run's results have been
-// extracted; the machine must not be used afterwards.
-func (m *Machine) Release() {
-	m.space.Release()
-	m.space = nil
-}
+// Release drops the machine's PM images. Call it only after the run's
+// results have been extracted: any later access to PM panics.
+func (m *Machine) Release() { m.space.Release() }
 
 // Hierarchy returns the cache hierarchy (tests, diagnostics).
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // BlockSize is the cache-block size in bytes (Table 3: 64 B blocks).
@@ -33,74 +32,50 @@ func BlockOff(a Addr) int { return int(a & (BlockSize - 1)) }
 // SameBlock reports whether a and b fall in the same cache block.
 func SameBlock(a, b Addr) bool { return BlockAlign(a) == BlockAlign(b) }
 
-// Image is a flat byte image of the PM region.
+// Image is a sparse byte image of the PM region: a directory of
+// fixed-size pages in which a page exists only once something was
+// written to it. An absent page reads as zeros, so an image costs memory
+// in proportion to the bytes a program touches, not to the region it
+// covers.
 type Image struct {
 	base Addr
-	data []byte
-	// hwm is one past the highest byte ever written — the dirty prefix.
-	// Everything at or beyond hwm is still zero, so a recycled image only
-	// has to clear [0, hwm) instead of its full (typically 64 MB) length.
-	hwm uint64
+	size uint64
+	dir  pageDir[page]
 }
 
-// imagePool recycles the large backing arrays between runs. Zeroing a
-// fresh multi-megabyte image per (design, workload) grid cell was ~10%
-// of fig10 wall-clock; recycled images clear only their dirty prefix.
-// Small images (tests) bypass the pool.
-var imagePool sync.Pool
+// pageSize is the image page size: a multiple of BlockSize, so a cache
+// block never straddles two pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
 
-const imagePoolMin = 1 << 20
+type page [pageSize]byte
 
-// NewImage creates a zeroed image covering [base, base+size).
+// zeroPage backs every read of an absent page. Nothing writes to it:
+// writes allocate the page first.
+var zeroPage page
+
+// NewImage creates a zeroed image covering [base, base+size). base must
+// be block-aligned.
 func NewImage(base Addr, size uint64) *Image {
-	if im := pooledImage(size); im != nil {
-		im.base = base
-		clear(im.data[:im.hwm])
-		im.hwm = 0
-		return im
+	if BlockOff(base) != 0 {
+		panic(fmt.Sprintf("mem: image base %#x not block-aligned", uint64(base)))
 	}
-	return &Image{base: base, data: make([]byte, size)}
+	return &Image{base: base, size: size}
 }
 
-// pooledImage returns a recycled image of exactly the requested size, or
-// nil. Its dirty prefix [0, hwm) has NOT been cleared — NewImage zeroes
-// it, Clone overwrites the whole array anyway.
-func pooledImage(size uint64) *Image {
-	if size < imagePoolMin {
-		return nil
-	}
-	if v := imagePool.Get(); v != nil {
-		if im := v.(*Image); uint64(len(im.data)) == size {
-			return im
-		}
-		// Wrong size: drop it and let the GC reclaim the array.
-	}
-	return nil
-}
-
-// Release returns the image's backing array to the recycle pool. The
-// image must not be used afterwards: its backing slice is detached, so
-// later accesses panic instead of silently aliasing a recycled array.
-// Release is idempotent — a second call is a no-op, never a second pool
-// insertion (which would hand the same array to two future images).
-func (im *Image) Release() {
-	d := im.data
-	if d == nil {
-		return // already released
-	}
-	im.data = nil
-	if uint64(len(d)) >= imagePoolMin {
-		// Pool a fresh wrapper rather than im itself: the caller still
-		// holds im, and a pooled object must have exactly one owner.
-		imagePool.Put(&Image{data: d, hwm: im.hwm})
-	}
-}
+// Release drops the image's pages. The image must not be used
+// afterwards: it then covers no addresses, so every access panics.
+// Releasing twice is harmless.
+func (im *Image) Release() { *im = Image{} }
 
 // Base returns the first address covered by the image.
 func (im *Image) Base() Addr { return im.base }
 
 // Size returns the number of bytes covered.
-func (im *Image) Size() uint64 { return uint64(len(im.data)) }
+func (im *Image) Size() uint64 { return im.size }
 
 // Contains reports whether [a, a+n) lies inside the image.
 func (im *Image) Contains(a Addr, n int) bool {
@@ -108,91 +83,140 @@ func (im *Image) Contains(a Addr, n int) bool {
 		return false
 	}
 	off := uint64(a - im.base)
-	return off+uint64(n) <= uint64(len(im.data))
+	return off <= im.size && uint64(n) <= im.size-off
 }
 
-func (im *Image) index(a Addr, n int) uint64 {
+// offset returns a's offset into the image, panicking unless [a, a+n)
+// lies inside it.
+func (im *Image) offset(a Addr, n int) uint64 {
 	if !im.Contains(a, n) {
-		panic(fmt.Sprintf("mem: access [%#x,+%d) outside image [%#x,+%d)", uint64(a), n, uint64(im.base), len(im.data)))
+		panic(outOfRegion{a: a, n: n, base: im.base, size: im.size})
 	}
 	return uint64(a - im.base)
 }
 
+// outOfRegion is the panic value of an access [a, a+n) outside the
+// region [base, base+size). It formats only when reported, which keeps
+// the bounds checks on the hot paths small enough to inline.
+type outOfRegion struct {
+	a, base Addr
+	n       int
+	size    uint64
+}
+
+func (e outOfRegion) Error() string {
+	return fmt.Sprintf("mem: access [%#x,+%d) outside region [%#x,+%d)", uint64(e.a), e.n, uint64(e.base), e.size)
+}
+
+// readPage returns the page holding offset off, or the zero page.
+func (im *Image) readPage(off uint64) *page {
+	if p := im.dir.get(off >> pageShift); p != nil {
+		return p
+	}
+	return &zeroPage
+}
+
+// writePage returns the page holding offset off, allocating it on first
+// write.
+func (im *Image) writePage(off uint64) *page {
+	i := off >> pageShift
+	if i < uint64(len(im.dir.pages)) && im.dir.pages[i] != nil {
+		return im.dir.pages[i]
+	}
+	return im.dir.alloc(i)
+}
+
 // ReadU64 reads a little-endian uint64 at a.
 func (im *Image) ReadU64(a Addr) uint64 {
-	i := im.index(a, 8)
-	return binary.LittleEndian.Uint64(im.data[i:])
+	off := im.offset(a, 8)
+	if po := off & pageMask; po <= pageSize-8 {
+		return binary.LittleEndian.Uint64(im.readPage(off)[po:])
+	}
+	var b [8]byte
+	im.Read(a, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteU64 writes a little-endian uint64 at a.
 func (im *Image) WriteU64(a Addr, v uint64) {
-	i := im.index(a, 8)
-	binary.LittleEndian.PutUint64(im.data[i:], v)
-	im.dirty(i + 8)
-}
-
-// dirty extends the written prefix to cover [0, end).
-func (im *Image) dirty(end uint64) {
-	if end > im.hwm {
-		im.hwm = end
+	off := im.offset(a, 8)
+	if po := off & pageMask; po <= pageSize-8 {
+		binary.LittleEndian.PutUint64(im.writePage(off)[po:], v)
+		return
 	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	im.Write(a, b[:])
 }
 
-// Read copies len(p) bytes starting at a into p.
+// Read copies len(p) bytes starting at a into p. Like Write it takes a
+// single-page fast path: the simulator's accesses are at most a block
+// and size-aligned, so they never straddle pages.
 func (im *Image) Read(a Addr, p []byte) {
-	i := im.index(a, len(p))
-	copy(p, im.data[i:])
+	off := im.offset(a, len(p))
+	if po := off & pageMask; po+uint64(len(p)) <= pageSize {
+		copy(p, im.readPage(off)[po:])
+		return
+	}
+	for len(p) > 0 {
+		n := copy(p, im.readPage(off)[off&pageMask:])
+		p, off = p[n:], off+uint64(n)
+	}
 }
 
 // Write copies p into the image starting at a.
 func (im *Image) Write(a Addr, p []byte) {
-	i := im.index(a, len(p))
-	copy(im.data[i:], p)
-	im.dirty(i + uint64(len(p)))
+	off := im.offset(a, len(p))
+	if po := off & pageMask; po+uint64(len(p)) <= pageSize {
+		copy(im.writePage(off)[po:], p)
+		return
+	}
+	for len(p) > 0 {
+		n := copy(im.writePage(off)[off&pageMask:], p)
+		p, off = p[n:], off+uint64(n)
+	}
 }
 
 // ReadBlock returns a copy of the cache block containing a.
 func (im *Image) ReadBlock(a Addr) [BlockSize]byte {
-	var b [BlockSize]byte
-	im.Read(BlockAlign(a), b[:])
-	return b
+	return [BlockSize]byte(im.BlockSlice(a))
 }
 
 // WriteBlock overwrites the cache block containing a.
 func (im *Image) WriteBlock(a Addr, b [BlockSize]byte) {
-	im.Write(BlockAlign(a), b[:])
+	copy(im.writeBlock(a), b[:])
 }
 
-// Clone returns a deep copy of the image (for crash snapshots).
+// Clone returns a deep copy of the image (for crash snapshots). Only
+// the pages that exist are copied, into one slab.
 func (im *Image) Clone() *Image {
-	c := pooledImage(uint64(len(im.data)))
-	if c == nil {
-		c = &Image{data: make([]byte, len(im.data))}
-	}
-	c.base = im.base
-	copy(c.data, im.data) // full-length copy: no pre-clearing needed
-	c.hwm = im.hwm
-	return c
+	return &Image{base: im.base, size: im.size, dir: im.dir.clone()}
 }
 
-// BlockSlice returns the image's backing bytes for the cache block
-// containing a, aliasing the image storage (no copy). Callers must not
-// retain the slice across image writes, and must treat it as read-only:
-// mutations have to go through Write/WriteU64/WriteBlock so the dirty
-// prefix used by image recycling stays accurate. It exists for the
-// simulator's per-access hot paths, where the block-sized value copies
-// of ReadBlock/WriteBlock dominated.
+// BlockSlice returns the image's bytes for the cache block containing
+// a, aliasing the image storage (no copy). It is read-only: a block on
+// an absent page aliases the shared zero page, so mutations have to go
+// through Write/WriteU64/WriteBlock. Callers must not retain the slice
+// across image writes. It exists for the simulator's per-access hot
+// paths, where the block-sized value copies of ReadBlock/WriteBlock
+// dominated.
 func (im *Image) BlockSlice(a Addr) []byte {
-	b := BlockAlign(a)
-	i := im.index(b, BlockSize)
-	return im.data[i : i+BlockSize : i+BlockSize]
+	off := im.offset(BlockAlign(a), BlockSize)
+	po := off & pageMask
+	return im.readPage(off)[po : po+BlockSize : po+BlockSize]
+}
+
+// writeBlock is BlockSlice for writing: it allocates the block's page.
+func (im *Image) writeBlock(a Addr) []byte {
+	off := im.offset(BlockAlign(a), BlockSize)
+	po := off & pageMask
+	return im.writePage(off)[po : po+BlockSize : po+BlockSize]
 }
 
 // CopyBlockFrom copies the block containing a from src into im. The two
 // images must cover the block.
 func (im *Image) CopyBlockFrom(src *Image, a Addr) {
-	copy(im.BlockSlice(a), src.BlockSlice(a))
-	im.dirty(uint64(BlockAlign(a)-im.base) + BlockSize)
+	copy(im.writeBlock(a), src.BlockSlice(a))
 }
 
 // Space is the simulated PM region: an architectural image plus the
@@ -215,16 +239,10 @@ func NewSpace(size uint64) *Space {
 	}
 }
 
-// Release returns both images' backing arrays to the recycle pool. The
-// space (and anything aliasing its images) must not be used afterwards.
-// Like Image.Release it is idempotent: a second call is a no-op.
+// Release drops both images' pages; see Image.Release.
 func (s *Space) Release() {
-	if s.Arch == nil && s.PM == nil {
-		return // already released
-	}
 	s.Arch.Release()
 	s.PM.Release()
-	s.Arch, s.PM = nil, nil
 }
 
 // Base returns the first PM address.

@@ -1,8 +1,6 @@
 package pmc
 
 import (
-	"fmt"
-
 	"pmemspec/internal/mem"
 	"pmemspec/internal/metrics"
 	"pmemspec/internal/sim"
@@ -32,18 +30,15 @@ type WPQ struct {
 	completions []sim.Time
 	minDone     sim.Time
 	// blocks holds, per PM block, the media completion of its pending
-	// entry (coalescing) — a flat array indexed by block number, so the
-	// per-store lookup is a shift instead of a map probe. Zero means "no
-	// live entry" (media completions are always positive). Together with
-	// liveList this reproduces the bounded tracking-table semantics
-	// exactly: once more than 8192 entries are live, stale ones are
-	// dropped (reset to zero), and a dropped entry cannot coalesce even
-	// for a lagging caller whose `now` still precedes its completion
-	// (Accept tolerates small time inversions, so that case is reachable
-	// and observable).
-	blocks   []sim.Time
-	liveList []uint32
-	base     mem.Addr
+	// entry (coalescing). Zero means "no live entry" (media completions
+	// are always positive). Together with liveList this reproduces the
+	// bounded tracking-table semantics exactly: once more than 8192
+	// entries are live, stale ones are dropped (reset to zero), and a
+	// dropped entry cannot coalesce even for a lagging caller whose
+	// `now` still precedes its completion (Accept tolerates small time
+	// inversions, so that case is reachable and observable).
+	blocks   *mem.BlockTable[sim.Time]
+	liveList []mem.Addr
 
 	// Stats
 	Accepts, Coalesced, FullStalls uint64
@@ -65,23 +60,12 @@ type WPQ struct {
 
 // NewWPQ creates a write-pending queue of the given capacity in front of
 // ctrl's media write banks. The queue serves the PM region
-// [base, base+memBytes): its per-block coalescing table is a flat array
-// over that window.
+// [base, base+memBytes); Accept panics on a block outside it.
 func NewWPQ(ctrl *Controller, capacity int, base mem.Addr, memBytes uint64) *WPQ {
 	if capacity < 1 {
 		panic("pmc: WPQ capacity must be ≥ 1")
 	}
-	nblocks := (memBytes + mem.BlockSize - 1) / mem.BlockSize
-	return &WPQ{cap: capacity, ctrl: ctrl, blocks: make([]sim.Time, nblocks), base: base, minDone: sim.Forever}
-}
-
-// blockIndex maps a block-aligned address into the coalescing table.
-func (w *WPQ) blockIndex(blk mem.Addr) uint64 {
-	i := uint64(blk-w.base) / mem.BlockSize
-	if blk < w.base || i >= uint64(len(w.blocks)) {
-		panic(fmt.Sprintf("pmc: WPQ address %#x outside region [%#x,+%d blocks)", uint64(blk), uint64(w.base), len(w.blocks)))
-	}
-	return i
+	return &WPQ{cap: capacity, ctrl: ctrl, blocks: mem.NewBlockTable[sim.Time](base, memBytes), minDone: sim.Forever}
 }
 
 // Accept admits a write to blk arriving at the controller at time `now`.
@@ -91,9 +75,11 @@ func (w *WPQ) blockIndex(blk mem.Addr) uint64 {
 // small inversions.
 func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 	blk = mem.BlockAlign(blk)
-	bi := w.blockIndex(blk)
+	// Look the entry up for writing: a block with no live entry gets one
+	// below, so Ptr never allocates a page that stays unused.
+	e := w.blocks.Ptr(blk)
 	w.prune(now)
-	if done := w.blocks[bi]; done > now {
+	if done := *e; done > now {
 		// Coalesce with the pending entry: durable immediately, no new
 		// media write.
 		w.Coalesced++
@@ -127,10 +113,10 @@ func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 	if mediaDone < w.minDone {
 		w.minDone = mediaDone
 	}
-	if w.blocks[bi] == 0 {
-		w.liveList = append(w.liveList, uint32(bi))
+	if *e == 0 {
+		w.liveList = append(w.liveList, blk)
 	}
-	w.blocks[bi] = mediaDone
+	*e = mediaDone
 	w.Accepts++
 	if len(w.completions) > w.PeakOccupancy {
 		w.PeakOccupancy = len(w.completions)
@@ -155,11 +141,11 @@ func (w *WPQ) Accept(now sim.Time, blk mem.Addr) (admit, mediaDone sim.Time) {
 // with, even for a slightly-lagging later Accept.
 func (w *WPQ) pruneBlocks(now sim.Time) {
 	kept := w.liveList[:0]
-	for _, bi := range w.liveList {
-		if w.blocks[bi] <= now {
-			w.blocks[bi] = 0
+	for _, blk := range w.liveList {
+		if e := w.blocks.Find(blk); *e <= now {
+			*e = 0
 		} else {
-			kept = append(kept, bi)
+			kept = append(kept, blk)
 		}
 	}
 	w.liveList = kept
