@@ -33,7 +33,6 @@ import (
 	"pmemspec/internal/harness"
 	"pmemspec/internal/machine"
 	"pmemspec/internal/metrics"
-	"pmemspec/internal/sim"
 )
 
 // benchOut is the wall-clock record -bench-out writes: one entry per
@@ -44,12 +43,15 @@ type benchOut struct {
 	Threads     int                `json:"threads"`
 	Ops         int                `json:"ops"`
 	Seed        int64              `json:"seed"`
-	ExecCore    string             `json:"exec_core"` // "step" or "handshake"
 	Experiments map[string]float64 `json:"experiments_seconds"`
 	Total       float64            `json:"total_seconds"`
 }
 
-func main() {
+func main() { os.Exit(benchMain()) }
+
+// benchMain is the whole command; it returns the exit code instead of
+// exiting so the profile defers always run (and can fail the run).
+func benchMain() (code int) {
 	var (
 		experiment = flag.String("experiment", "fig9", "fig9|fig10|fig11|fig12|misspec|ablation|all")
 		ops        = flag.Int("ops", 400, "failure-atomic operations per thread (paper: 100K; shapes stabilize far earlier)")
@@ -72,24 +74,28 @@ func main() {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: cpuprofile:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: cpuprofile:", err)
-			os.Exit(1)
+			return 1
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "pmemspec-bench: cpuprofile:", err)
+				code = 1
+			}
+		}()
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
+			if err := writeTo(*memProf, func(w io.Writer) error {
+				return pprof.Lookup("allocs").WriteTo(w, 0)
+			}); err != nil {
 				fmt.Fprintln(os.Stderr, "pmemspec-bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "pmemspec-bench: memprofile:", err)
+				code = 1
 			}
 		}()
 	}
@@ -100,7 +106,7 @@ func main() {
 		addr, closer, err := metrics.ServeDebug(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: debug-addr:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer closer.Close()
 		fmt.Fprintf(os.Stderr, "pmemspec-bench: pprof/expvar on http://%s/debug/pprof/\n", addr)
@@ -195,7 +201,6 @@ func main() {
 		Threads:     *threads,
 		Ops:         *ops,
 		Seed:        *seed,
-		ExecCore:    sim.DefaultExecCore.String(),
 		Experiments: map[string]float64{},
 	}
 	if record.Parallel <= 0 {
@@ -207,7 +212,7 @@ func main() {
 		start := time.Now() //lint:allow simdeterminism
 		if err := run(name); err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench:", err)
-			os.Exit(1)
+			return 1
 		}
 		elapsed := time.Since(start).Seconds() //lint:allow simdeterminism
 		record.Experiments[name] = elapsed
@@ -220,7 +225,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: bench-out:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "pmemspec-bench: wall-clock written to %s (total %.1fs at parallel=%d)\n",
 			*benchFile, record.Total, record.Parallel)
@@ -228,7 +233,7 @@ func main() {
 	if *metricsOut != "" {
 		if err := writeTo(*metricsOut, runner.Metrics.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: metrics-out:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *tlOut != "" {
@@ -236,11 +241,12 @@ func main() {
 			return metrics.WriteTrace(w, runner.Timelines)
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "pmemspec-bench: timeline-out:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "pmemspec-bench: %d timeline(s) written to %s (load in Perfetto / about:tracing)\n",
 			len(runner.Timelines), *tlOut)
 	}
+	return 0
 }
 
 // writeTo streams one export into a freshly created file.

@@ -9,12 +9,10 @@
 //	pmemspec-ci bench-cmp -baseline BENCH_baseline.json -current /tmp/bench.json [-tolerance 0.15]
 //
 // The comparison is one-sided: speedups never fail the gate. Records
-// from mismatched configurations (threads/ops/seed/exec_core) are
-// refused, since their wall-clocks are not comparable — and so are
-// records that predate exec_core stamping: a baseline whose execution
-// core is unknown cannot be told apart from one measured on the legacy
-// handshake core, which is several times slower. Regenerate stale
-// baselines with the current pmemspec-bench.
+// from mismatched configurations (threads/ops/seed) are refused, since
+// their wall-clocks are not comparable. Records are loaded strictly, so
+// one carrying a field this tool no longer knows is refused too;
+// regenerate stale baselines with the current pmemspec-bench.
 package main
 
 import (
@@ -31,7 +29,6 @@ type benchRecord struct {
 	Threads     int                `json:"threads"`
 	Ops         int                `json:"ops"`
 	Seed        int64              `json:"seed"`
-	ExecCore    string             `json:"exec_core"`
 	Experiments map[string]float64 `json:"experiments_seconds"`
 	Total       float64            `json:"total_seconds"`
 }
@@ -102,8 +99,6 @@ func configMismatch(base, cur benchRecord) string {
 		return fmt.Sprintf("ops %d vs %d", base.Ops, cur.Ops)
 	case base.Seed != cur.Seed:
 		return fmt.Sprintf("seed %d vs %d", base.Seed, cur.Seed)
-	case base.ExecCore != cur.ExecCore:
-		return fmt.Sprintf("exec_core %q vs %q", base.ExecCore, cur.ExecCore)
 	}
 	return ""
 }
@@ -115,9 +110,6 @@ func readRecord(path string) (benchRecord, error) {
 	}
 	if len(r.Experiments) == 0 {
 		return r, fmt.Errorf("%s: no experiments_seconds", path)
-	}
-	if r.ExecCore == "" {
-		return r, fmt.Errorf("%s: no exec_core: the record predates execution-core stamping and its wall-clocks are not comparable; regenerate it with the current pmemspec-bench", path)
 	}
 	return r, nil
 }

@@ -70,10 +70,10 @@ func TestLoadReportAcceptsKnownSchemas(t *testing.T) {
 		t.Fatalf("mc report rejected: %v", err)
 	}
 	var b benchRecord
-	if err := loadReport(write(`{"parallel": 1, "num_cpu": 1, "threads": 8, "ops": 400, "seed": 1, "exec_core": "step", "experiments_seconds": {"fig9": 1}, "total_seconds": 1}`), &b); err != nil {
+	if err := loadReport(write(`{"parallel": 1, "num_cpu": 1, "threads": 8, "ops": 400, "seed": 1, "experiments_seconds": {"fig9": 1}, "total_seconds": 1}`), &b); err != nil {
 		t.Fatalf("bench record rejected: %v", err)
 	}
-	if b.ExecCore != "step" || b.Experiments["fig9"] != 1 {
+	if b.Seed != 1 || b.Experiments["fig9"] != 1 {
 		t.Fatalf("bench record misparsed: %+v", b)
 	}
 }

@@ -25,16 +25,16 @@ import (
 //
 // A fourth class is banned in simulated-thread code (the sim kernel and
 // the layers whose code runs inside simulated threads: machine,
-// workload, pmc, ppath, persist): host concurrency. The step execution
-// core resumes thread bodies inline on the kernel's goroutine, so a
+// workload, pmc, ppath, persist): host concurrency. The kernel resumes
+// thread bodies as pull-coroutines inline on its own goroutine, so a
 // `go` statement, a channel handshake (send, receive, make(chan)), or
 // any per-op round trip through the Go scheduler both breaks the
 // inline-dispatch model and reintroduces the host-scheduler costs the
-// step core exists to remove. Simulated concurrency belongs in
-// Kernel.Spawn / events / Block+Wake. The legacy handshake vehicle in
-// sim/coro.go — whose whole point is a goroutine per thread — opts its
-// functions out with //lint:allow simdeterminism on the declaration;
-// the harness's host-side worker pool is outside the gated path set.
+// coroutine dispatch avoids. Simulated concurrency belongs in
+// Kernel.Spawn / events / Block+Wake. A function that genuinely needs
+// host concurrency opts out with //lint:allow simdeterminism on its
+// declaration; the harness's host-side worker pool is outside the
+// gated path set.
 //
 // Intentional wall-clock use (e.g. measuring host elapsed time in
 // pmemspec-bench) is annotated with //lint:allow simdeterminism.
@@ -71,7 +71,7 @@ func runSimDeterminism(pass *Pass) error {
 	for _, fd := range funcDecls(pass.Pkg) {
 		body := fd.decl.Body
 		// A declaration-level allow opts the whole function out of the
-		// host-concurrency ban (the legacy handshake vehicle).
+		// host-concurrency ban.
 		conc := threadCode && !pass.SuppressedAt(fd.decl.Pos())
 		ast.Inspect(body, func(n ast.Node) bool {
 			if base {

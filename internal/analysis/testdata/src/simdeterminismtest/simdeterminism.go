@@ -84,7 +84,7 @@ func channelHandshake(n int) int {
 	return <-ch             // want "channel receive in simulated-thread code"
 }
 
-//lint:allow simdeterminism handshake vehicle fixture: declaration-level opt-out
+//lint:allow simdeterminism host-concurrency fixture: declaration-level opt-out
 func allowedHandshake(n int) int {
 	ch := make(chan int, 1)
 	go func() { ch <- n }()

@@ -173,6 +173,9 @@ func (r *Runner) RunCampaign(cfg CampaignConfig) (CampaignReport, error) {
 			return CampaignReport{}, err
 		}
 	}
+	if err := checkParams(cfg.Params); err != nil {
+		return CampaignReport{}, err
+	}
 	uniform, err := UniformPoints(cfg.Points, cfg.MaxNS)
 	if err != nil {
 		return CampaignReport{}, err

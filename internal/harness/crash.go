@@ -107,6 +107,10 @@ func runTrial(spec TrialSpec, w workload.Workload, bounds *Boundaries) (CrashOut
 	p := spec.Params
 	out := CrashOutcome{Design: spec.Design, Workload: w.Name(),
 		CrashAtNS: spec.Point.AtNS, Label: spec.Point.Label}
+	if err := checkParams(p); err != nil {
+		out.Err = err
+		return out, err
+	}
 	cfg := machine.DefaultConfig(spec.Design, p.Threads)
 	for _, o := range spec.Opts {
 		o(&cfg)

@@ -493,6 +493,9 @@ func (r *Runner) DetectionAblation(threads, ops int, seed int64) ([2]AblationRes
 // runCustom is the shared runner; register selects whether the OS relay
 // and recovery are wired.
 func runCustom(design machine.Design, w workload.Workload, p workload.Params, mode fatomic.Mode, register bool, opts ...Option) (Result, error) {
+	if err := checkParams(p); err != nil {
+		return Result{}, err
+	}
 	cfg := machine.DefaultConfig(design, p.Threads)
 	for _, o := range opts {
 		o(&cfg)

@@ -93,6 +93,15 @@ func RunWithMode(design machine.Design, w workload.Workload, p workload.Params, 
 	return run(design, w, p, mode, opts...)
 }
 
+// checkParams rejects workload parameters no run can execute: each
+// worker must perform at least one operation.
+func checkParams(p workload.Params) error {
+	if p.Ops < 1 {
+		return fmt.Errorf("harness: ops must be at least 1, got %d", p.Ops)
+	}
+	return nil
+}
+
 // execute spawns the workers, runs setup + the measured kernel, and
 // verifies the workload invariants on the coherent image.
 func execute(m *machine.Machine, rt *fatomic.Runtime, env *workload.Env, w workload.Workload, p workload.Params) (Result, error) {

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"pmemspec/internal/fatomic"
 	"pmemspec/internal/machine"
 	"pmemspec/internal/workload"
 )
@@ -206,5 +209,43 @@ func TestSeedChangesSchedule(t *testing.T) {
 	}
 	if len(times) < 2 {
 		t.Error("three seeds produced identical kernel times")
+	}
+}
+
+// TestRejectsNonPositiveOps: every entry point that takes workload
+// parameters refuses a run with no operations per worker, naming the
+// value, instead of simulating nothing (NaN throughput, vacuous
+// verification) or panicking inside a simulated thread.
+func TestRejectsNonPositiveOps(t *testing.T) {
+	w, err := workload.ByName("queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ops := range []int{0, -5} {
+		p := workload.Params{Threads: 2, Ops: ops, DataSize: 64, Seed: 1}
+		spec := TrialSpec{Design: machine.PMEMSpec, Workload: "queue", Params: p, Point: NoCrash}
+		entries := []struct {
+			name string
+			call func() error
+		}{
+			{"Run", func() error { _, err := Run(machine.PMEMSpec, w, p); return err }},
+			{"RunWithMode", func() error { _, err := RunWithMode(machine.PMEMSpec, w, p, fatomic.Eager); return err }},
+			{"RunDetectOnly", func() error { _, err := RunDetectOnly(machine.PMEMSpec, w, p); return err }},
+			{"RunTrial", func() error { _, err := RunTrial(spec); return err }},
+			{"RunTrialWith", func() error { _, err := RunTrialWith(spec, w); return err }},
+			{"RunWithCrash", func() error { _, err := RunWithCrash(machine.PMEMSpec, w, p, 1000); return err }},
+			{"DiscoverBoundaries", func() error { _, err := DiscoverBoundaries(spec); return err }},
+			{"RunCampaign", func() error {
+				_, err := RunCampaign(CampaignConfig{Workloads: []string{"queue"}, Params: p, Points: 1, MaxNS: 1000})
+				return err
+			}},
+			{"Fig9", func() error { _, err := (&Runner{}).Fig9(2, ops, 1); return err }},
+		}
+		want := fmt.Sprintf("ops must be at least 1, got %d", ops)
+		for _, e := range entries {
+			if err := e.call(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with ops %d: err = %v, want %q", e.name, ops, err, want)
+			}
+		}
 	}
 }

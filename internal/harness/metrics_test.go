@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"pmemspec/internal/machine"
@@ -73,6 +75,38 @@ func TestMetricsParallelDeterminism(t *testing.T) {
 			nonzero(cell, "ppath", "sent")
 			nonzero(cell, "ppath", "delivered")
 		}
+	}
+}
+
+// goldenFig9Digest is the SHA-256 of the metrics grid of the small
+// Figure 9 sweep below, byte for byte what
+//
+//	pmemspec-bench -experiment fig9 -ops 12 -threads 2 -seed 1 -parallel 1 -metrics-out m.json
+//
+// writes. It pins the simulator's schedule: any change to dispatch
+// order, timing or counters moves it. A deliberate model change
+// regenerates it with that command (`sha256sum m.json`) in the same
+// change; an unexplained mismatch is a determinism regression.
+const goldenFig9Digest = "cfc0d9c0f29492224b426fcb5df4789c2b4922d4224e70a1b101fadb33b6c72e"
+
+// TestMetricsGoldenDigest compares the small Figure 9 metrics grid
+// against the checked-in digest. It runs under -short too: it is the
+// only check that the schedule itself has not drifted.
+func TestMetricsGoldenDigest(t *testing.T) {
+	r := &Runner{Metrics: metrics.NewGrid()}
+	if _, err := r.Fig9(2, 12, 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Metrics.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenFig9Digest {
+		t.Fatalf("metrics grid digest %s (%d bytes), want %s\n"+
+			"reproduce: go run ./cmd/pmemspec-bench -experiment fig9 -ops 12 -threads 2 -seed 1 -parallel 1 -metrics-out m.json && sha256sum m.json\n"+
+			"if the model changed on purpose, set goldenFig9Digest to the new digest",
+			got, buf.Len(), goldenFig9Digest)
 	}
 }
 

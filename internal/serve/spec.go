@@ -147,11 +147,11 @@ func (s GridSpec) Cells() ([]Cell, error) {
 }
 
 // codeVersion is the stamp that makes the result cache sound across
-// rebuilds: the execution-core stamp bench-cmp already refuses stale
-// baselines on, plus the VCS revision when the binary carries one. Two
-// binaries with different stamps never share cache entries.
+// rebuilds: a constant base plus the VCS revision when the binary
+// carries one. Two binaries with different stamps never share cache
+// entries.
 var codeVersion = func() string {
-	v := "exec_core=" + sim.DefaultExecCore.String()
+	v := "pmemspec"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			switch s.Key {

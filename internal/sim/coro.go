@@ -3,140 +3,25 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"os"
 )
 
-// EffectKind classifies what a coroutine step did — the yield-effect
-// vocabulary of the execution core. Machine-level operations (loads,
-// stores, flushes, fences, lock ops, speculation ops) all decompose into
-// these three effects: their timing is carried by the thread clock and
-// their interaction with other cores by Block/Wake edges, so the kernel
-// needs no richer alphabet to reproduce the schedule exactly.
-type EffectKind uint8
-
-const (
-	// EffectAdvance: the thread moved its clock (or yielded
-	// cooperatively) and is still runnable. All ready-heap bookkeeping
-	// was already performed by the step.
-	EffectAdvance EffectKind = iota
-	// EffectBlock: the thread blocked awaiting a Wake. It removed
-	// itself from the ready heap before yielding.
-	EffectBlock
-	// EffectDone: the thread body returned (or unwound after a panic
-	// that the vehicle converted into a kernel stop). The kernel
-	// finalizes the thread when it sees this effect.
-	EffectDone
-)
-
-// Effect is the value a coroutine yields back to the kernel at each
-// step: what the thread just did, with all thread bookkeeping (clock,
-// ready/blocked state) already applied by the step itself.
-type Effect struct {
-	Kind EffectKind
-}
-
-// Coro is a resumable simulated-thread body: a step function the kernel
-// calls inline on its own goroutine. Step runs the body until its next
-// yield point and returns the effect; after EffectDone (or Abort) the
-// coroutine must not be stepped again.
-//
-// Two implementations exist: goCoro (the default) wraps an ordinary
-// blocking-style body in a runtime pull-coroutine, giving it a real
-// resumable frame without a scheduler handshake; handshakeCoro is the
-// legacy two-channel goroutine kept behind a flag for A/B comparison.
-// Explicit state machines (frame and program counter spelled out as
-// struct fields) can be stepped first-class via Kernel.SpawnCoro.
-//
-// Contract for explicit Coro implementations:
-//   - Step performs bounded work, applies its own thread bookkeeping
-//     via Thread.StepAdvance / Thread.StepBlock, and returns the
-//     matching effect. Returning EffectAdvance more often than
-//     StepAdvance demands is allowed (the kernel just re-dispatches);
-//     blocking primitives that park the caller (Mutex.Lock, Block,
-//     Advance) must not be called from Step — they require a
-//     suspendable frame and panic if invoked on a step-coro thread.
-//   - Abort is called instead of Step when the kernel abandons the
-//     thread (Stop or deadlock); it must release any held resources.
-//     It may be called before the first Step and must be idempotent.
-type Coro interface {
-	Step(t *Thread) Effect
-	Abort(t *Thread)
-}
-
-// ExecCore selects the mechanism that runs thread bodies.
-type ExecCore uint8
-
-const (
-	// CoreStep (default): bodies run as pull-coroutines the kernel
-	// steps inline — a direct coroutine switch per dispatch, no
-	// goroutine park/unpark through the scheduler.
-	CoreStep ExecCore = iota
-	// CoreHandshake: the legacy two-channel goroutine handshake.
-	// Retained for A/B benchmarks and as a semantic cross-check; both
-	// cores produce byte-identical schedules.
-	CoreHandshake
-)
-
-// DefaultExecCore is the core new kernels start with. It is CoreStep
-// unless the process environment sets PMEMSPEC_EXEC_CORE=handshake
-// (read once at startup, so it cannot vary within a run).
-var DefaultExecCore = execCoreFromEnv(os.Getenv("PMEMSPEC_EXEC_CORE"))
-
-func execCoreFromEnv(v string) ExecCore {
-	if v == "handshake" {
-		return CoreHandshake
-	}
-	return CoreStep
-}
-
-// SetExecCore selects the execution core for threads spawned later.
-// It must be called before the first Spawn.
-func (k *Kernel) SetExecCore(c ExecCore) {
-	if len(k.threads) > 0 {
-		panic("sim: SetExecCore after Spawn")
-	}
-	k.core = c
-}
-
-// String reports the core as its short identifier ("step" or
-// "handshake"), the spelling used by PMEMSPEC_EXEC_CORE and recorded in
-// bench/CI records.
-func (c ExecCore) String() string {
-	if c == CoreHandshake {
-		return "handshake"
-	}
-	return "step"
-}
-
-// ExecCoreName reports the kernel's core as a short identifier
-// ("step" or "handshake") for bench/CI records.
-func (k *Kernel) ExecCoreName() string { return k.core.String() }
-
-// bodyYielder is implemented by the vehicles that run blocking-style
-// bodies (goCoro, handshakeCoro): the body side of the coroutine calls
-// yieldToKernel at every checkpoint. A false return means the kernel
-// abandoned the thread and the body must unwind.
-type bodyYielder interface {
-	yieldToKernel(eff Effect) bool
-}
-
-// goCoro runs a blocking-style body inside a runtime pull-coroutine
+// goCoro runs a thread body inside a runtime pull-coroutine
 // (iter.Pull). Resuming it is a direct coroutine switch on the kernel's
-// goroutine — no channel operations, no scheduler round trip — which is
-// what makes step-core dispatch cheap. The body keeps its natural
-// stack, so every existing yield point (deep inside machine operations
-// included) is preserved exactly and the schedule is byte-identical to
-// the legacy core by construction.
+// goroutine — no channel operations, no scheduler round trip. The body
+// keeps its natural stack, so every yield point (deep inside machine
+// operations included) suspends the whole call chain and resumes it
+// exactly where it left off; the yielded value carries nothing, because
+// the body applies its own clock and ready/blocked bookkeeping before
+// it yields.
 type goCoro struct {
-	next  func() (Effect, bool)
+	next  func() (struct{}, bool)
 	stop  func()
-	yield func(Effect) bool
-	done  bool
+	yield func(struct{}) bool
 }
 
 func newGoCoro(t *Thread, body func(*Thread)) *goCoro {
 	c := &goCoro{}
-	c.next, c.stop = iter.Pull(func(yield func(Effect) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer threadExit(t)
 		body(t)
@@ -144,10 +29,10 @@ func newGoCoro(t *Thread, body func(*Thread)) *goCoro {
 	return c
 }
 
-// threadExit is the shared body epilogue of both vehicles: it swallows
-// the abandonment sentinel and converts any real panic in simulated
-// code into the run's stop reason (first reason wins), instead of
-// letting it tear through the kernel dispatch loop.
+// threadExit is the body epilogue: it swallows the abandonment sentinel
+// and converts any real panic in simulated code into the run's stop
+// reason (first reason wins), instead of letting it tear through the
+// kernel dispatch loop.
 func threadExit(t *Thread) {
 	if r := recover(); r != nil {
 		if _, ok := r.(errKernelStopped); !ok {
@@ -161,90 +46,15 @@ func threadExit(t *Thread) {
 	}
 }
 
-func (c *goCoro) Step(t *Thread) Effect {
-	eff, ok := c.next()
-	if !ok {
-		c.done = true
-		return Effect{Kind: EffectDone}
-	}
-	return eff
+// resume runs the body until its next yield point. It reports false
+// once the body has returned (or unwound after a panic).
+func (c *goCoro) resume() bool {
+	_, ok := c.next()
+	return ok
 }
 
-func (c *goCoro) Abort(t *Thread) {
-	// stop makes the suspended yield return false; the body panics
-	// errKernelStopped, unwinds through its defers, and the coroutine
-	// finishes before stop returns. Never-started and already-finished
-	// coroutines are no-ops.
-	c.stop()
-}
-
-func (c *goCoro) yieldToKernel(eff Effect) bool {
-	return c.yield(eff)
-}
-
-// handshakeCoro is the legacy execution vehicle: the body runs on its
-// own goroutine and each dispatch is a two-channel ping-pong through
-// the Go scheduler. It is kept only behind CoreHandshake so the step
-// core's speedup stays measurable and its schedule cross-checkable.
-type handshakeCoro struct {
-	t         *Thread
-	resume    chan struct{}
-	yield     chan struct{}
-	eff       Effect // effect reported at the most recent yield
-	abandoned bool
-	done      bool
-}
-
-//lint:allow simdeterminism legacy handshake vehicle: the goroutine+channel round trip is the thing being A/B-measured
-func newHandshakeCoro(t *Thread, body func(*Thread)) *handshakeCoro {
-	c := &handshakeCoro{
-		t:      t,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		// LIFO: threadExit recovers first (it must be deferred
-		// directly for recover to see the panic), then the final
-		// handshake reports completion to the kernel.
-		defer func() {
-			c.eff = Effect{Kind: EffectDone}
-			c.yield <- struct{}{}
-		}()
-		defer threadExit(t)
-		<-c.resume
-		if c.abandoned {
-			panic(errKernelStopped{})
-		}
-		body(t)
-	}()
-	return c
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) Step(t *Thread) Effect {
-	c.resume <- struct{}{}
-	<-c.yield
-	if c.eff.Kind == EffectDone {
-		c.done = true
-	}
-	return c.eff
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) Abort(t *Thread) {
-	if c.done {
-		return
-	}
-	c.abandoned = true
-	c.resume <- struct{}{}
-	<-c.yield
-	c.done = true
-}
-
-//lint:allow simdeterminism legacy handshake vehicle
-func (c *handshakeCoro) yieldToKernel(eff Effect) bool {
-	c.eff = eff
-	c.yield <- struct{}{}
-	<-c.resume
-	return !c.abandoned
-}
+// abort releases an abandoned body: stop makes the suspended yield
+// return false, the body panics errKernelStopped, unwinds through its
+// defers, and the coroutine finishes before stop returns. Never-started
+// and already-finished coroutines are no-ops.
+func (c *goCoro) abort() { c.stop() }

@@ -22,7 +22,6 @@ type Kernel struct {
 	threads   []*Thread
 	ready     readyQueue // min-heap of runnable threads by (clock, id)
 	now       Time       // timestamp of the most recently dispatched entity
-	core      ExecCore
 	running   bool
 	stopped   bool // a stop reason has been recorded; later ones are ignored
 	stopErr   error
@@ -31,10 +30,8 @@ type Kernel struct {
 	readyScratch []*Thread     // reused view passed to sched
 }
 
-// NewKernel returns an empty kernel at time zero using DefaultExecCore.
-func NewKernel() *Kernel {
-	return &Kernel{core: DefaultExecCore}
-}
+// NewKernel returns an empty kernel at time zero.
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the timestamp of the most recently dispatched thread step or
 // event. Inside a thread, prefer Thread.Clock (the thread's own time).
@@ -103,31 +100,8 @@ func (k *Kernel) compactEvents() {
 // Spawn creates a simulated thread that will execute body when Run is
 // called. Threads are dispatched lowest-clock first (ties broken by
 // creation order). startAt sets the thread's initial clock. The body runs
-// on the kernel's execution core: as an inline-stepped pull-coroutine by
-// default, or on the legacy goroutine handshake under CoreHandshake.
+// as a pull-coroutine the kernel resumes inline on its own goroutine.
 func (k *Kernel) Spawn(name string, startAt Time, body func(t *Thread)) *Thread {
-	t := k.newThread(name, startAt)
-	if k.core == CoreHandshake {
-		c := newHandshakeCoro(t, body)
-		t.coro, t.yielder = c, c
-	} else {
-		c := newGoCoro(t, body)
-		t.coro, t.yielder = c, c
-	}
-	return t
-}
-
-// SpawnCoro creates a simulated thread from an explicit Coro state
-// machine: the kernel calls c.Step directly, with no coroutine or
-// goroutine behind it — frame and program counter are whatever c's
-// fields encode. See the Coro contract for what Step may do.
-func (k *Kernel) SpawnCoro(name string, startAt Time, c Coro) *Thread {
-	t := k.newThread(name, startAt)
-	t.coro = c
-	return t
-}
-
-func (k *Kernel) newThread(name string, startAt Time) *Thread {
 	t := &Thread{
 		id:         len(k.threads),
 		name:       name,
@@ -136,6 +110,7 @@ func (k *Kernel) newThread(name string, startAt Time) *Thread {
 		readyIndex: -1,
 		kernel:     k,
 	}
+	t.coro = newGoCoro(t, body)
 	k.threads = append(k.threads, t)
 	k.ready.push(t)
 	return t
@@ -186,7 +161,7 @@ func (k *Kernel) readyView() []*Thread {
 // returns err (which may be nil). The first stop reason wins — later
 // Stop calls and thread panics cannot overwrite it. Remaining threads are
 // abandoned: their coroutines are aborted and unwind via a panic the
-// vehicle epilogue swallows.
+// body epilogue swallows.
 func (k *Kernel) Stop(err error) {
 	k.running = false
 	if !k.stopped {
@@ -220,11 +195,7 @@ func (k *Kernel) Run() error {
 				k.stepControlled(t, e)
 				break
 			}
-			k.now = t.clock
-			if eff := t.coro.Step(t); eff.Kind == EffectDone {
-				t.state = threadDone
-				k.readyRemove(t)
-			}
+			k.dispatch(t)
 		default:
 			if k.anyLive() {
 				k.running = false
@@ -296,10 +267,16 @@ func (k *Kernel) stepControlled(t *Thread, e *Event) {
 	if !k.running || c.state != threadReady {
 		return
 	}
-	k.now = c.clock
-	if eff := c.coro.Step(c); eff.Kind == EffectDone {
-		c.state = threadDone
-		k.readyRemove(c)
+	k.dispatch(c)
+}
+
+// dispatch resumes t until its next yield point, retiring it from the
+// scheduler once its body has returned.
+func (k *Kernel) dispatch(t *Thread) {
+	k.now = t.clock
+	if !t.coro.resume() {
+		t.state = threadDone
+		k.readyRemove(t)
 	}
 }
 
@@ -360,7 +337,7 @@ func (k *Kernel) releaseAbandoned() {
 		if t.state == threadDone {
 			continue
 		}
-		t.coro.Abort(t)
+		t.coro.abort()
 		t.state = threadDone
 		k.readyRemove(t)
 	}

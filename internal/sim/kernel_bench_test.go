@@ -8,15 +8,12 @@ import (
 // benchmarkDispatch measures the kernel's dispatch loop: every thread
 // advances its clock by one cycle per step, so each Advance crosses
 // another thread's clock and forces a full yield/resume round trip plus
-// a scheduler decision — the Fig 10 many-core hot path. The core
-// parameter selects the execution vehicle, so the step core's gain over
-// the legacy goroutine handshake stays measurable (`go test -bench
-// 'Dispatch(8|64)' ./internal/sim`).
-func benchmarkDispatch(b *testing.B, threads, steps int, core ExecCore) {
+// a scheduler decision — the Fig 10 many-core hot path
+// (`go test -bench 'Dispatch(8|64)$' ./internal/sim`).
+func benchmarkDispatch(b *testing.B, threads, steps int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := NewKernel()
-		k.SetExecCore(core)
 		for n := 0; n < threads; n++ {
 			k.Spawn(fmt.Sprintf("w%d", n), 0, func(t *Thread) {
 				for s := 0; s < steps; s++ {
@@ -31,50 +28,8 @@ func benchmarkDispatch(b *testing.B, threads, steps int, core ExecCore) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads*steps), "ns/dispatch")
 }
 
-func BenchmarkDispatch8(b *testing.B)           { benchmarkDispatch(b, 8, 500, CoreStep) }
-func BenchmarkDispatch8Handshake(b *testing.B)  { benchmarkDispatch(b, 8, 500, CoreHandshake) }
-func BenchmarkDispatch64(b *testing.B)          { benchmarkDispatch(b, 64, 500, CoreStep) }
-func BenchmarkDispatch64Handshake(b *testing.B) { benchmarkDispatch(b, 64, 500, CoreHandshake) }
-
-// loopCoro is the explicit state-machine equivalent of the dispatch
-// benchmark's body: the frame is one counter, the program counter is
-// implicit (one state). It bounds what any execution vehicle can save —
-// no coroutine, no goroutine, no suspendable frame at all.
-type loopCoro struct {
-	steps int
-	s     int
-}
-
-func (c *loopCoro) Step(t *Thread) Effect {
-	if c.s >= c.steps {
-		return Effect{Kind: EffectDone}
-	}
-	c.s++
-	t.StepAdvance(1)
-	return Effect{Kind: EffectAdvance}
-}
-
-func (c *loopCoro) Abort(t *Thread) {}
-
-// benchmarkDispatchCoro measures the same workload as benchmarkDispatch
-// through Kernel.SpawnCoro: pure step-function dispatch with zero
-// switch cost, the lower bound the pull-coroutine core is chasing.
-func benchmarkDispatchCoro(b *testing.B, threads, steps int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		for n := 0; n < threads; n++ {
-			k.SpawnCoro(fmt.Sprintf("w%d", n), 0, &loopCoro{steps: steps})
-		}
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads*steps), "ns/dispatch")
-}
-
-func BenchmarkDispatch8Coro(b *testing.B)  { benchmarkDispatchCoro(b, 8, 500) }
-func BenchmarkDispatch64Coro(b *testing.B) { benchmarkDispatchCoro(b, 64, 500) }
+func BenchmarkDispatch8(b *testing.B)  { benchmarkDispatch(b, 8, 500) }
+func BenchmarkDispatch64(b *testing.B) { benchmarkDispatch(b, 64, 500) }
 
 // benchWake is the self-service event pattern of a PM fetch: the event
 // wakes the thread that scheduled it.

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -253,6 +254,77 @@ func TestStopAbandonsThreads(t *testing.T) {
 	}
 	if atomic.LoadInt32(&reached) != 0 {
 		t.Error("abandoned thread code ran past Stop")
+	}
+}
+
+// TestAbandonedThreadsDoNotLeak: however Run ends, every coroutine it
+// leaves behind is released before Run returns — stepped bodies unwind
+// through their defers, and threads that were spawned but never stepped
+// release their (not yet started) coroutine too.
+func TestAbandonedThreadsDoNotLeak(t *testing.T) {
+	cases := []struct {
+		name    string
+		wantErr string
+		late    bool // also spawn threads Run never reaches
+		spawn   func(k *Kernel, unwound *int)
+	}{
+		{"stop", "enough", true, func(k *Kernel, unwound *int) {
+			k.Spawn("stopper", 0, func(th *Thread) {
+				defer func() { *unwound++ }()
+				th.Advance(10)
+				k.Stop(errors.New("enough"))
+				th.Yield()
+			})
+			k.Spawn("runner", 0, func(th *Thread) {
+				defer func() { *unwound++ }()
+				for {
+					th.Advance(3)
+				}
+			})
+		}},
+		{"deadlock", "deadlock", false, func(k *Kernel, unwound *int) {
+			for i := 0; i < 3; i++ {
+				k.Spawn(fmt.Sprintf("waiter%d", i), Time(i), func(th *Thread) {
+					defer func() { *unwound++ }()
+					th.Block("forever")
+				})
+			}
+		}},
+		{"panic", "boom", true, func(k *Kernel, unwound *int) {
+			k.Spawn("panicker", 0, func(th *Thread) {
+				defer func() { *unwound++ }()
+				th.Advance(1)
+				panic("boom")
+			})
+			k.Spawn("blocked", 0, func(th *Thread) {
+				defer func() { *unwound++ }()
+				th.Block("never woken")
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel()
+			unwound := 0
+			tc.spawn(k, &unwound)
+			stepped := len(k.Threads())
+			// Spawned far in the future: Run ends before reaching them.
+			for i := 0; tc.late && i < 4; i++ {
+				k.Spawn(fmt.Sprintf("late%d", i), 1<<40, func(th *Thread) {
+					t.Error("never-stepped thread ran")
+				})
+			}
+			if err := k.Run(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run() = %v, want error containing %q", err, tc.wantErr)
+			}
+			if unwound != stepped {
+				t.Errorf("%d of %d stepped bodies unwound", unwound, stepped)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before spawning, %d after Run", before, after)
+			}
+		})
 	}
 }
 

@@ -21,8 +21,7 @@ type Thread struct {
 	readyIndex  int // position in the kernel's ready heap, -1 when absent
 	blockReason string
 	kernel      *Kernel
-	coro        Coro
-	yielder     bodyYielder // non-nil iff coro runs a blocking-style body
+	coro        *goCoro
 }
 
 // ID returns the thread's index in kernel creation order.
@@ -40,8 +39,13 @@ func (t *Thread) Kernel() *Kernel { return t.kernel }
 // Advance moves the thread's clock forward by d cycles, yielding to the
 // kernel if any event or lower-clock thread must run first. d must be ≥ 0.
 func (t *Thread) Advance(d Time) {
-	if t.StepAdvance(d) {
-		t.checkpoint(Effect{Kind: EffectAdvance})
+	if d < 0 {
+		panic(fmt.Sprintf("sim: Advance(%d) with negative duration", d))
+	}
+	t.clock += d
+	t.kernel.readyFix(t)
+	if t.kernel.mustYield(t, t.clock) {
+		t.checkpoint()
 	}
 }
 
@@ -55,36 +59,15 @@ func (t *Thread) AdvanceTo(at Time) {
 
 // Yield unconditionally hands control back to the kernel, letting due
 // events and lower-clock threads run.
-func (t *Thread) Yield() { t.checkpoint(Effect{Kind: EffectAdvance}) }
+func (t *Thread) Yield() { t.checkpoint() }
 
 // Block suspends the thread until another simulation entity calls Wake.
 // reason is reported in deadlock diagnostics.
 func (t *Thread) Block(reason string) {
-	t.StepBlock(reason)
-	t.checkpoint(Effect{Kind: EffectBlock})
-}
-
-// StepAdvance moves the clock forward by d cycles and restores the ready
-// heap, without yielding. It reports whether the thread must now yield
-// (an event or lower-clock thread is due). Blocking-style bodies use
-// Advance, which yields automatically; explicit Coro state machines call
-// StepAdvance from Step and return EffectAdvance themselves.
-func (t *Thread) StepAdvance(d Time) bool {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: Advance(%d) with negative duration", d))
-	}
-	t.clock += d
-	t.kernel.readyFix(t)
-	return t.kernel.mustYield(t, t.clock)
-}
-
-// StepBlock marks the thread blocked and removes it from the ready heap,
-// without yielding. Explicit Coro state machines call it from Step and
-// return EffectBlock; blocking-style bodies use Block.
-func (t *Thread) StepBlock(reason string) {
 	t.state = threadBlocked
 	t.blockReason = reason
 	t.kernel.readyRemove(t)
+	t.checkpoint()
 }
 
 // TryInlineEvent reports whether an event the running thread t is about
@@ -98,8 +81,7 @@ func (t *Thread) StepBlock(reason string) {
 // the event had fired; the caller must run its handler body immediately
 // and then call FinishInlineEvent with the time it would have passed to
 // Wake. On failure nothing changes and the caller schedules + blocks as
-// usual. Only blocking-style bodies may use this (explicit Coro state
-// machines yield by returning effects).
+// usual.
 func (t *Thread) TryInlineEvent(at Time) bool {
 	k := t.kernel
 	if at < t.clock {
@@ -135,7 +117,7 @@ func (t *Thread) FinishInlineEvent(ready Time) {
 	}
 	k.readyFix(t)
 	if e := k.nextEvent(); (e != nil && e.At <= t.clock) || k.ready.peek() != t {
-		t.checkpoint(Effect{Kind: EffectAdvance})
+		t.checkpoint()
 		return
 	}
 	k.now = t.clock
@@ -158,12 +140,9 @@ func (t *Thread) Wake(at Time) {
 
 // checkpoint suspends the body until the kernel resumes it. If the
 // kernel abandoned the thread (Stop/deadlock), the body unwinds via the
-// errKernelStopped sentinel, which the vehicle's epilogue recovers.
-func (t *Thread) checkpoint(eff Effect) {
-	if t.yielder == nil {
-		panic(fmt.Sprintf("sim: thread %q: blocking primitive called from an explicit Coro.Step; use StepAdvance/StepBlock and return the effect", t.name))
-	}
-	if !t.yielder.yieldToKernel(eff) {
+// errKernelStopped sentinel, which the body epilogue recovers.
+func (t *Thread) checkpoint() {
+	if !t.coro.yield(struct{}{}) {
 		panic(errKernelStopped{})
 	}
 }
