@@ -113,8 +113,13 @@ go build -o /tmp/pmemspec-lint ./cmd/pmemspec-lint
 run_budgeted pmemspec-lint "${LINT_BUDGET_S:-120}" \
 	"/tmp/pmemspec-lint -fix -diff ./..."
 
-stage build "go build ./..."
+stage build "go build ./... + go vet in perfbench/"
 go build ./...
+# perfbench/ is a separate module (its own go.mod, importing internal
+# packages through a replace directive), so the root ./... never
+# compiles it; vet it here so an internal API change cannot break the
+# benchmark unnoticed.
+(cd perfbench && go vet ./...)
 
 stage test "go test $short ./..."
 go test $short ./...

@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		designFlag = flag.String("design", "pmemspec", "intelx86|dpo|hops|pmemspec")
+		designFlag = flag.String("design", "pmemspec", "intelx86|dpo|hops|strand|pmemspec")
 		wlFlag     = flag.String("workload", "rbtree", strings.Join(workload.Names(), "|"))
 		threads    = flag.Int("threads", 4, "worker threads")
 		ops        = flag.Int("ops", 100, "operations per thread")
@@ -90,18 +90,9 @@ func main() {
 		cfg.Mode = fatomic.Eager
 	}
 	if !*all {
-		var d machine.Design
-		switch strings.ToLower(*designFlag) {
-		case "intelx86", "x86":
-			d = machine.IntelX86
-		case "dpo":
-			d = machine.DPO
-		case "hops":
-			d = machine.HOPS
-		case "pmemspec", "pmem-spec", "spec":
-			d = machine.PMEMSpec
-		default:
-			fmt.Fprintf(os.Stderr, "pmemspec-crash: unknown design %q\n", *designFlag)
+		d, err := machine.ParseDesign(*designFlag)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pmemspec-crash:", err)
 			os.Exit(1)
 		}
 		cfg.Designs = []machine.Design{d}

@@ -25,8 +25,8 @@
 // reported (or, in check mode, any edit remains), 2 on loader or
 // analysis failure, 0 otherwise.
 //
-// Suppress an individual finding with a //lint:allow <analyzer>
-// comment on the same or the preceding line.
+// Suppress an individual finding with a //lint:allow name[,name...]
+// [reason] comment on the same or the preceding line.
 package main
 
 import (

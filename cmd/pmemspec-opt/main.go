@@ -66,7 +66,7 @@ func main() {
 
 	switch {
 	case *measure:
-		d, err := opt.DesignByName(*design)
+		d, err := machine.ParseDesign(*design)
 		if err != nil {
 			fatal(err)
 		}
@@ -90,7 +90,7 @@ func main() {
 		}
 		var ds []machine.Design
 		for _, n := range split(*designs) {
-			d, err := opt.DesignByName(n)
+			d, err := machine.ParseDesign(n)
 			if err != nil {
 				fatal(err)
 			}

@@ -20,22 +20,6 @@ import (
 	"pmemspec/internal/workload"
 )
 
-func parseDesign(s string) (machine.Design, error) {
-	switch strings.ToLower(s) {
-	case "intelx86", "x86":
-		return machine.IntelX86, nil
-	case "dpo":
-		return machine.DPO, nil
-	case "hops":
-		return machine.HOPS, nil
-	case "pmemspec", "pmem-spec", "spec":
-		return machine.PMEMSpec, nil
-	case "strand", "strandweaver":
-		return machine.Strand, nil
-	}
-	return 0, fmt.Errorf("unknown design %q (intelx86|dpo|hops|strand|pmemspec)", s)
-}
-
 func main() {
 	var (
 		designFlag = flag.String("design", "pmemspec", "intelx86|dpo|hops|strand|pmemspec")
@@ -50,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	design, err := parseDesign(*designFlag)
+	design, err := machine.ParseDesign(*designFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmemspec-sim:", err)
 		os.Exit(1)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"pmemspec/internal/machine"
 	"pmemspec/internal/mem"
@@ -65,7 +64,7 @@ func diffOne(seed int64, threads, ops int) error {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	var ref []byte
 	var refDesign machine.Design
-	for _, d := range machine.Designs {
+	for _, d := range machine.AllDesigns {
 		m, err := buildMachine(d, threads, false)
 		if err != nil {
 			return err
@@ -140,18 +139,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		var d machine.Design
-		switch strings.ToLower(*design) {
-		case "intelx86", "x86":
-			d = machine.IntelX86
-		case "dpo":
-			d = machine.DPO
-		case "hops":
-			d = machine.HOPS
-		case "pmemspec", "pmem-spec", "spec":
-			d = machine.PMEMSpec
-		default:
-			fail(fmt.Errorf("unknown design %q", *design))
+		d, err := machine.ParseDesign(*design)
+		if err != nil {
+			fail(err)
 		}
 		m, err := buildMachine(d, len(p.Threads), *tlOut != "")
 		if err != nil {

@@ -10,13 +10,11 @@
 //	specpair        lock/spec-assign pairing on all control-flow paths
 //	                (§6: spec-assign/spec-revoke around critical
 //	                sections, revoke ordered before the unlock)
-//	barrierpair     every raw PM store is flushed and ordered before
-//	                commit, lock release or return (Figure 2), and no
-//	                fence is issued twice in a row
-//	persistflow     interprocedural per-location persist-state tracking
-//	                on the shared dataflow engine: missing flush/fence
-//	                through call layers, wrong-epoch stores, §6 spec
-//	                coverage of lock-protected stores
+//	persistflow     every raw PM store is flushed and then ordered
+//	                before lock release or return (Figure 2), tracked
+//	                per location and through call layers on the shared
+//	                dataflow engine; also wrong-epoch stores and §6
+//	                spec coverage of lock-protected stores
 //	persistorder    static persist-order graph per function: declared
 //	                data-before-commit-marker invariants
 //	                (//persistorder: directives) are verified on every
@@ -24,7 +22,8 @@
 //	                interprocedural order facts; verdicts are
 //	                differentially validated by the internal/litmus
 //	                corpus under the crash campaign
-//	redundantbarrier provably-redundant flushes and fences, with
+//	redundantbarrier provably-redundant flushes and fences (including
+//	                a fence repeated with nothing in between), with
 //	                machine-applicable deletion fixes (-fix/-diff)
 //	simdeterminism  no wall-clock reads, global RNG, or order-sensitive
 //	                map iteration in simulator/harness/report code (the
@@ -32,14 +31,14 @@
 //	poolcapture     worker-pool job closures neither capture loop
 //	                variables nor write shared state
 //
-// A diagnostic is suppressed by a `//lint:allow <analyzer>` comment on
-// the same or the preceding line; use it for intentional exceptions
-// such as wall-clock timing in pmemspec-bench.
+// A diagnostic is suppressed by a `//lint:allow name[,name...] [reason]`
+// comment on the same or the preceding line; use it for intentional
+// exceptions such as wall-clock timing in pmemspec-bench. A listed name
+// that is not an analyzer is itself reported.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
@@ -81,7 +80,7 @@ type Analyzer struct {
 // before RedundantBarrier so the optimizer sees fresh pf: summaries
 // within each package.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SpecPair, BarrierPair, PersistFlow, PersistOrder, RedundantBarrier, SimDeterminism, PoolCapture}
+	return []*Analyzer{SpecPair, PersistFlow, PersistOrder, RedundantBarrier, SimDeterminism, PoolCapture}
 }
 
 // OptAnalyzers lists the optimization suite: analyzers whose findings
@@ -172,13 +171,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // allowRE matches the escape hatch: //lint:allow name[,name...] [reason].
-var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+([a-z, ]+)`)
+// Only the comma-separated list names analyzers; the free text after it
+// is the reason.
+var allowRE = regexp.MustCompile(`^//\s*lint:allow\s+([a-z]+(?:\s*,\s*[a-z]+)*)`)
+
+// allowAnalyzer is the Diagnostic.Analyzer of a finding on an allow
+// directive itself.
+const allowAnalyzer = "lint:allow"
 
 // allowDirectives indexes every lint:allow comment of a package by file
-// and line.
-func allowDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
+// and line. A name that is neither "all" nor an analyzer of Analyzers()
+// or OptAnalyzers() comes back as a diagnostic: a stale or misspelt
+// directive would otherwise suppress nothing, silently.
+func allowDirectives(fset *token.FileSet, pkg *Package) (map[string]map[int][]string, []Diagnostic) {
+	known := map[string]bool{"all": true}
+	for _, a := range append(Analyzers(), OptAnalyzers()...) {
+		known[a.Name] = true
+	}
 	out := make(map[string]map[int][]string)
-	for _, f := range files {
+	var stale []Diagnostic
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := allowRE.FindStringSubmatch(c.Text)
@@ -191,13 +203,21 @@ func allowDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int]
 					byLine = make(map[int][]string)
 					out[pos.Filename] = byLine
 				}
-				for _, name := range strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' }) {
+				for _, name := range strings.Split(m[1], ",") {
+					name = strings.TrimSpace(name)
 					byLine[pos.Line] = append(byLine[pos.Line], name)
+					if !known[name] {
+						stale = append(stale, Diagnostic{
+							Pos: pos, Package: pkg.Path, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+							Analyzer: allowAnalyzer,
+							Message:  fmt.Sprintf("directive names %q, which is not an analyzer", name),
+						})
+					}
 				}
 			}
 		}
 	}
-	return out
+	return out, stale
 }
 
 // AnalyzerStat is one analyzer's cumulative wall-clock across every
@@ -227,7 +247,8 @@ func RunAnalyzersTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyz
 		if !pkg.InModule {
 			continue
 		}
-		allow := allowDirectives(fset, pkg.Files)
+		allow, stale := allowDirectives(fset, pkg)
+		diags = append(diags, stale...)
 		for ai, a := range analyzers {
 			pass := &Pass{
 				Fset:     fset,

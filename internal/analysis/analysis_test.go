@@ -1,9 +1,13 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,9 +72,9 @@ func parseWants(t *testing.T, dir string) []want {
 	return wants
 }
 
-// runGolden checks one analyzer against its fixture package: every
+// runGolden checks analyzers against their fixture package: every
 // diagnostic must match a // want comment on its line and vice versa.
-func runGolden(t *testing.T, a *Analyzer, fixture string) {
+func runGolden(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	t.Helper()
 	root := repoRoot(t)
 	l, err := NewLoader(root)
@@ -82,7 +86,7 @@ func runGolden(t *testing.T, a *Analyzer, fixture string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzers(l.Fset, pkgs, []*Analyzer{a})
+	diags, err := RunAnalyzers(l.Fset, pkgs, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +115,15 @@ func runGolden(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-func TestSpecPairGolden(t *testing.T)       { runGolden(t, SpecPair, "specpairtest") }
-func TestBarrierPairGolden(t *testing.T)    { runGolden(t, BarrierPair, "barrierpairtest") }
-func TestSimDeterminismGolden(t *testing.T) { runGolden(t, SimDeterminism, "simdeterminismtest") }
-func TestPoolCaptureGolden(t *testing.T)    { runGolden(t, PoolCapture, "poolcapturetest") }
-func TestFlushCoalesceGolden(t *testing.T)  { runGolden(t, FlushCoalesce, "flushcoalescetest") }
-func TestFenceHoistGolden(t *testing.T)     { runGolden(t, FenceHoist, "fencehoisttest") }
-func TestEpochMergeGolden(t *testing.T)     { runGolden(t, EpochMerge, "epochmergetest") }
+func TestSpecPairGolden(t *testing.T)       { runGolden(t, "specpairtest", SpecPair) }
+func TestSimDeterminismGolden(t *testing.T) { runGolden(t, "simdeterminismtest", SimDeterminism) }
+func TestPoolCaptureGolden(t *testing.T)    { runGolden(t, "poolcapturetest", PoolCapture) }
+func TestFlushCoalesceGolden(t *testing.T)  { runGolden(t, "flushcoalescetest", FlushCoalesce) }
+func TestFenceHoistGolden(t *testing.T)     { runGolden(t, "fencehoisttest", FenceHoist) }
+
+// TestEpochMergeGolden runs persistflow too, so its one finding on the
+// fixture (a store ordered but never flushed) is pinned.
+func TestEpochMergeGolden(t *testing.T) { runGolden(t, "epochmergetest", EpochMerge, PersistFlow) }
 
 // TestRepoLintsClean is the repository's own gate: the full module must
 // produce zero diagnostics under all analyzers.
@@ -259,15 +265,42 @@ func TestLoaderDepCacheContextKeyed(t *testing.T) {
 	}
 }
 
-// TestAllowDirectiveParsing covers the escape-hatch comment forms.
+// TestAllowDirectiveParsing covers the escape-hatch comment forms: a
+// comma-separated name list, then free text that names nothing, and a
+// diagnostic for every listed name that is not an analyzer.
 func TestAllowDirectiveParsing(t *testing.T) {
 	if !allowRE.MatchString("//lint:allow specpair") {
 		t.Error("bare directive not recognized")
 	}
-	if !allowRE.MatchString("// lint:allow specpair, barrierpair some reason") {
-		t.Error("spaced multi-name directive not recognized")
-	}
 	if allowRE.MatchString("// lint:disallow specpair") {
 		t.Error("non-directive comment recognized")
+	}
+
+	src := `package p
+
+func f() {
+	_ = 1 // lint:allow specpair, persistflow some reason
+	_ = 2 //lint:allow persistflow redo entries are ordered by specpair later
+	_ = 3 //lint:allow nosuch,simdeterminism
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow, stale := allowDirectives(fset, &Package{Path: "p", Files: []*ast.File{f}})
+	for line, want := range map[int][]string{
+		4: {"specpair", "persistflow"},
+		5: {"persistflow"},
+		6: {"nosuch", "simdeterminism"},
+	} {
+		if got := allow["p.go"][line]; !slices.Equal(got, want) {
+			t.Errorf("line %d: allowed %q, want %q", line, got, want)
+		}
+	}
+	if len(stale) != 1 || stale[0].Line != 6 || stale[0].Analyzer != allowAnalyzer ||
+		!strings.Contains(stale[0].Message, `"nosuch"`) {
+		t.Errorf("want one diagnostic naming \"nosuch\" on line 6, got %v", stale)
 	}
 }

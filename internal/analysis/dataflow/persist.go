@@ -67,10 +67,6 @@ type LocState struct {
 	// must not rely on unstable states, while obligation claims
 	// (missing flush) still may.
 	Unstable bool
-	// FromCall marks a state applied from a callee's interprocedural
-	// summary rather than a store seen in this body; Origin is then the
-	// call position.
-	FromCall bool
 	// WrongEpoch marks a Dirty location that was re-stored after its
 	// flush but before the ordering barrier: the earlier flush does not
 	// cover the new value. A covering re-flush clears it; a fence while
@@ -298,12 +294,12 @@ func (s PMState) WithUnknownCall() PMState {
 	return ns
 }
 
-// SetLoc force-sets one location's state from a callee's summary. The
-// resulting LocState is marked FromCall, and barrier adjacency is lost
-// (the callee performed real PM work).
+// SetLoc force-sets one location's state from a callee's summary, with
+// the call as its origin. Barrier adjacency is lost (the callee
+// performed real PM work).
 func (s PMState) SetLoc(l Loc, st PersistState, origin token.Pos) PMState {
 	ns := s.clone()
-	ns.Locs[l] = LocState{S: st, Origin: origin, FromCall: true}
+	ns.Locs[l] = LocState{S: st, Origin: origin}
 	ns.FenceValid = false
 	return ns
 }
@@ -342,12 +338,11 @@ func JoinPM(a, b PMState) PMState {
 				Unstable:   prev.Unstable || v.Unstable,
 				WrongEpoch: prev.WrongEpoch || v.WrongEpoch,
 			}
-			// Keep the origin (and its provenance) of the worse state for
-			// reporting.
+			// Keep the origin of the worse state for reporting.
 			if v.S > prev.S {
-				m.Origin, m.FromCall = v.Origin, v.FromCall
+				m.Origin = v.Origin
 			} else {
-				m.Origin, m.FromCall = prev.Origin, prev.FromCall
+				m.Origin = prev.Origin
 			}
 			out.Locs[k] = m
 		} else {

@@ -18,11 +18,10 @@ import (
 //
 //   - missing flush: a location still Dirty when the function returns
 //     or releases a lock, including dirt inherited from a callee's
-//     summary two or more call layers down — the coarse barrierpair
-//     model cannot see this, because any flush clears its whole
-//     pending set;
+//     summary two or more call layers down (the Figure 2 rule: a raw
+//     PM store must be flushed, then ordered, before a commit point);
 //   - missing fence: a location flushed on some path but never ordered
-//     by a barrier before return;
+//     by a barrier before return or a lock release;
 //   - wrong-epoch stores: a store landing on a location between its
 //     flush and the ordering barrier, never re-flushed — the barrier
 //     fences a stale value;
@@ -35,7 +34,13 @@ import (
 // obligations (pf:dirty:<i>, pf:flushed:<i>), per-parameter services
 // (pf:flush:<i>), and exit barrier state (pf:endfence, pf:enddurable).
 // Packages load in dependency order, so summaries cross package
-// boundaries.
+// boundaries. A parameter- or receiver-rooted obligation is the
+// caller's to discharge; it is reported at return only when no caller
+// can inherit it: the function's package never references it, so it is
+// an entry point reached through an interface or from an unanalyzed
+// package (a workload's Setup and Run). An exported helper called only
+// from other packages counts as an entry point too, so it must
+// discharge its own obligations.
 var PersistFlow = &Analyzer{
 	Name: "persistflow",
 	Doc:  "interprocedural per-location persist-state tracking (missing flush/fence, wrong-epoch stores, §6 spec coverage)",
@@ -75,11 +80,18 @@ func runPersistFlow(pass *Pass) error {
 	}
 	decls := funcDecls(pass.Pkg)
 	pfSummarize(pass, decls)
+	referenced := map[*types.Func]bool{}
+	for _, obj := range pass.Pkg.Info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			referenced[fn.Origin()] = true
+		}
+	}
 	for _, fd := range decls {
 		if pass.SuppressedAt(fd.decl.Pos()) {
 			continue
 		}
 		w := newPFWalker(pass, pfModeDiscipline)
+		w.noCaller = fd.obj != nil && !referenced[fd.obj]
 		w.analyze(fd.decl.Body, signatureOf(fd.obj))
 	}
 	return nil
@@ -214,13 +226,17 @@ type pfWalker struct {
 	res *dataflow.Resolver
 	sig *types.Signature
 	// tryBound maps a single-assignment `ok := t.TryLock(lk)` result to
-	// the lock kind, for branch-sensitive depth tracking.
-	tryBound map[types.Object]pmOpKind
+	// its call, for branch-sensitive depth tracking.
+	tryBound tryLockBinds
+
+	// noCaller marks a function its package never references: no
+	// analyzed caller inherits its obligations, so atReturn reports its
+	// parameter- and receiver-rooted ones too.
+	noCaller bool
 
 	// Flags collected during the solve, consulted during the replay.
-	anyPM         bool // any PM persistency effect
-	anyFlushFence bool // at least one flush or fence (incl. via summary)
-	anyUnknown    bool // a call with unseeable effects
+	anyPM      bool // any PM persistency effect
+	anyUnknown bool // a call with unseeable effects
 	// anyUnknownSink, when set, additionally taints the enclosing
 	// function's walker (a nested literal with unknown calls makes the
 	// whole declaration opaque to summaries).
@@ -271,7 +287,7 @@ func (w *pfWalker) reportEdit(pos token.Pos, edit *SuggestedEdit, format string,
 func (w *pfWalker) analyze(body *ast.BlockStmt, sig *types.Signature) dataflow.PMState {
 	w.res = dataflow.NewResolver(w.info, body)
 	w.sig = sig
-	w.tryBound = bindPFTryLocks(w.info, body)
+	w.tryBound = bindTryLocks(w.info, body)
 	cfg := dataflow.Build(body)
 	// Range-over-func operands: the CFG loops the yield-closure body
 	// (effects inside it flow into the loop), but the iterator function
@@ -316,66 +332,21 @@ func (w *pfWalker) analyze(body *ast.BlockStmt, sig *types.Signature) dataflow.P
 
 // atReturn reports locations that escape the function in a bad state.
 // Parameter- and receiver-rooted locations are the caller's obligation
-// (exported as facts by pfSummarize) and stay silent here.
+// (exported as facts by pfSummarize) and stay silent here, unless no
+// caller exists to inherit them.
 func (w *pfWalker) atReturn(exit dataflow.PMState) {
 	for _, l := range exit.SortedLocs() {
 		v := exit.Locs[l]
-		pi := dataflow.ParamIndex(l, w.sig)
-		recv := dataflow.IsReceiverRooted(l, w.sig)
-		if pi >= 0 || recv {
+		if !w.noCaller && (dataflow.ParamIndex(l, w.sig) >= 0 || dataflow.IsReceiverRooted(l, w.sig)) {
 			continue
 		}
 		switch v.S {
 		case dataflow.PSDirty:
-			if v.FromCall || w.anyFlushFence {
-				w.reportf(v.Origin, "PM location %s is still dirty at return: no flush on this path covers it before the caller can observe the data", l)
-			}
+			w.reportf(v.Origin, "PM location %s is still dirty at return: no flush on this path covers it before the caller can observe the data", l)
 		case dataflow.PSFlushed:
 			w.reportf(v.Origin, "PM location %s is flushed but never ordered by a barrier before return", l)
 		}
 	}
-}
-
-// bindPFTryLocks maps single-assignment TryLock results to their lock
-// kind so Branch can move the depths on the success edge.
-func bindPFTryLocks(info *types.Info, body *ast.BlockStmt) map[types.Object]pmOpKind {
-	bound := map[types.Object]pmOpKind{}
-	dead := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		if obj == nil {
-			return true
-		}
-		if _, seen := bound[obj]; seen || dead[obj] {
-			delete(bound, obj)
-			dead[obj] = true
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			dead[obj] = true
-			return true
-		}
-		switch op := classifyPMOp(calleeOf(info, call)); op.Kind {
-		case pmTryLockMachine, pmTryLockRaw:
-			bound[obj] = op.Kind
-		default:
-			dead[obj] = true
-		}
-		return true
-	})
-	return bound
 }
 
 // pfTransfer is the dataflow client for the persist-state lattice.
@@ -421,18 +392,11 @@ func (t *pfTransfer) Branch(cond ast.Expr, outcome bool, s dataflow.PMState) dat
 	if !outcome {
 		return s
 	}
-	kind := pmOther
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.CallExpr:
-		kind = classifyPMOp(calleeOf(t.w.info, e)).Kind
-	case *ast.Ident:
-		obj := t.w.info.Uses[e]
-		if obj == nil {
-			obj = t.w.info.Defs[e]
-		}
-		kind = t.w.tryBound[obj]
+	call := t.w.tryBound.condCall(t.w.info, cond)
+	if call == nil {
+		return s
 	}
-	switch kind {
+	switch classifyPMOp(calleeOf(t.w.info, call)).Kind {
 	case pmTryLockMachine:
 		ns := s.WithDepths(1, 1)
 		ns.FenceValid = false
@@ -480,7 +444,7 @@ func (t *pfTransfer) call(call *ast.CallExpr, top ast.Node, s dataflow.PMState) 
 		return ns
 
 	case pmFlush:
-		w.anyPM, w.anyFlushFence = true, true
+		w.anyPM = true
 		if op.AddrArg >= len(call.Args) {
 			w.noteUnknown()
 			return s.WithUnknownCall()
@@ -498,7 +462,7 @@ func (t *pfTransfer) call(call *ast.CallExpr, top ast.Node, s dataflow.PMState) 
 		return ns
 
 	case pmFenceOrder, pmFenceDurable:
-		w.anyPM, w.anyFlushFence = true, true
+		w.anyPM = true
 		if t.report && w.mode == pfModeDiscipline {
 			for _, l := range s.SortedLocs() {
 				v := s.Locs[l]
@@ -542,8 +506,12 @@ func (t *pfTransfer) call(call *ast.CallExpr, top ast.Node, s dataflow.PMState) 
 		if t.report && w.mode == pfModeDiscipline {
 			for _, l := range s.SortedLocs() {
 				v := s.Locs[l]
-				if v.S == dataflow.PSDirty && (v.FromCall || w.anyFlushFence) {
-					w.reportf(v.Origin, "PM location %s is still dirty at the lock release on line %d: no flush covers it before the commit point", l, w.pass.Fset.Position(call.Pos()).Line)
+				line := w.pass.Fset.Position(call.Pos()).Line
+				switch v.S {
+				case dataflow.PSDirty:
+					w.reportf(v.Origin, "PM location %s is still dirty at the lock release on line %d: no flush covers it before the commit point", l, line)
+				case dataflow.PSFlushed:
+					w.reportf(v.Origin, "PM location %s is flushed but not ordered by a barrier before the lock release on line %d", l, line)
 				}
 			}
 		}
@@ -553,9 +521,10 @@ func (t *pfTransfer) call(call *ast.CallExpr, top ast.Node, s dataflow.PMState) 
 		}
 		ns := s.WithDepths(-1, dSpec)
 		ns.FenceValid = false
-		// Dirty locations were either reported or handed to the coarse
-		// model; drop them so one leak does not cascade into the return
-		// check.
+		// Dirty locations were reported; drop them so one leak does not
+		// cascade into the return check. Flushed ones stay: a barrier
+		// after the release still orders them, and reportf dedupes a
+		// second report at the same store.
 		for k, v := range ns.Locs {
 			if v.S == dataflow.PSDirty {
 				delete(ns.Locs, k)
@@ -628,7 +597,6 @@ func (t *pfTransfer) applySummary(call *ast.CallExpr, fn *types.Func, s dataflow
 	}
 	if facts.Has(fn, factPFEndFence) {
 		ns, _ = ns.WithFence(call.Pos(), facts.Has(fn, factPFEndDurable))
-		w.anyFlushFence = true
 		applied = true
 	}
 	if !applied {
@@ -646,7 +614,6 @@ func (t *pfTransfer) applySummary(call *ast.CallExpr, fn *types.Func, s dataflow
 // it, while the discipline checks may still credit it.
 func (t *pfTransfer) summaryFlush(s dataflow.PMState, l dataflow.Loc, pos token.Pos) dataflow.PMState {
 	t.w.noteFlush(l)
-	t.w.anyFlushFence = true
 	ns, _ := s.WithFlush(l, 0, pos)
 	for k, v := range ns.Locs {
 		if k.Base == l.Base && !v.Unstable {

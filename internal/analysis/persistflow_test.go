@@ -2,23 +2,33 @@ package analysis
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-func TestPersistFlowGolden(t *testing.T)      { runGolden(t, PersistFlow, "persistflowtest") }
-func TestRedundantBarrierGolden(t *testing.T) { runGolden(t, RedundantBarrier, "redundantbarriertest") }
+func TestPersistFlowGolden(t *testing.T)      { runGolden(t, "persistflowtest", PersistFlow) }
+func TestRedundantBarrierGolden(t *testing.T) { runGolden(t, "redundantbarriertest", RedundantBarrier) }
+
+// TestPersistFlowFlushFenceGolden pins the Figure 2 obligations on
+// functions with no caller to inherit them: never flushed, flushed but
+// not ordered, ordered but not flushed, and dirty at a (deferred) lock
+// release are persistflow findings; a fence repeated with nothing in
+// between is redundantbarrier's.
+func TestPersistFlowFlushFenceGolden(t *testing.T) {
+	runGolden(t, "flushfencetest", PersistFlow, RedundantBarrier)
+}
 
 // TestPersistFlowRangeFunc pins the range-over-func contract: effects
 // inside a yield-closure body flow into the loop (the dirty store is
 // reported), and a func-typed operand degrades the function instead of
 // being mis-summarized as effect-free.
-func TestPersistFlowRangeFunc(t *testing.T) { runGolden(t, PersistFlow, "rangefunctest") }
+func TestPersistFlowRangeFunc(t *testing.T) { runGolden(t, "rangefunctest", PersistFlow) }
 
-// TestCoarseAnalyzersMissPersistFlowCases is the acceptance check for
-// the per-location engine: every finding in the persistflow fixture —
-// including the store buried two call layers down — is invisible to
-// the PR 3 set-based analyzers, because a single flush clears their
-// whole pending set and a fence wipes it.
+// TestCoarseAnalyzersMissPersistFlowCases checks that the persistflow
+// fixture's findings are its own: specpair, which sees lock and spec
+// balance but not PM locations, reports nothing on it — including the
+// raw-lock store whose §6 spec coverage only persistflow checks.
 func TestCoarseAnalyzersMissPersistFlowCases(t *testing.T) {
 	l, err := NewLoader(repoRoot(t))
 	if err != nil {
@@ -28,27 +38,31 @@ func TestCoarseAnalyzersMissPersistFlowCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzers(l.Fset, pkgs, []*Analyzer{SpecPair, BarrierPair})
+	diags, err := RunAnalyzers(l.Fset, pkgs, []*Analyzer{SpecPair})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
-		t.Errorf("coarse analyzer sees a persistflow-only case: %s", d)
+		t.Errorf("specpair sees a persistflow-only case: %s", d)
 	}
 }
 
 // TestDiagnosticsDeterministic pins the -json contract: two fresh
-// loaders over the same fixture set, all analyzers, byte-identical
-// serialized output (the (package, file, line, col, analyzer, message)
-// sort leaves no room for map-iteration or scheduling order).
+// loaders over every fixture package (except badimport, which does not
+// type-check), all analyzers, byte-identical serialized output (the
+// (package, file, line, col, analyzer, message) sort leaves no room for
+// map-iteration or scheduling order).
 func TestDiagnosticsDeterministic(t *testing.T) {
 	root := repoRoot(t)
-	patterns := []string{
-		"./internal/analysis/testdata/src/specpairtest",
-		"./internal/analysis/testdata/src/barrierpairtest",
-		"./internal/analysis/testdata/src/persistflowtest",
-		"./internal/analysis/testdata/src/redundantbarriertest",
-		"./internal/analysis/testdata/src/persistordertest",
+	entries, err := os.ReadDir(filepath.Join(root, "internal", "analysis", "testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	for _, e := range entries {
+		if e.IsDir() && e.Name() != "badimport" {
+			patterns = append(patterns, "./internal/analysis/testdata/src/"+e.Name())
+		}
 	}
 	var prev []byte
 	for run := 0; run < 2; run++ {

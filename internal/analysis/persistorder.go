@@ -34,8 +34,8 @@ import (
 // po:durable:<design>) exported only for store-free callees — an
 // any-path persist-state summary (pf:*) cannot support an order claim.
 //
-// What makes this different from persistflow/barrierpair: those check
-// each location's own persist STATE (everything flushed and fenced by
+// What makes this different from persistflow: it checks each
+// location's own persist STATE (everything flushed and fenced by
 // return), which a function can satisfy while still writing its commit
 // marker before its data is durable. persistorder checks the relative
 // ORDER, per design — the property the litmus corpus
@@ -228,7 +228,7 @@ func checkOrderFunc(pass *Pass, fd funcDecl, dirs *poDirectives) {
 
 	cfg := dataflow.Build(fd.decl.Body)
 	rangeFn := funcTypedRangeOps(info, cfg)
-	tryBound := bindPFTryLocks(info, fd.decl.Body)
+	tryBound := bindTryLocks(info, fd.decl.Body)
 
 	// violations: (data node, commit node) → designs, in canonical
 	// design order (the outer loop).
@@ -449,7 +449,7 @@ type poTransfer struct {
 	nodes    []*poNode
 	byPos    map[token.Pos]int
 	rangeFn  map[ast.Node]bool
-	tryBound map[types.Object]pmOpKind
+	tryBound tryLockBinds
 
 	// check, when set (replay), is invoked with the state right before
 	// each commit-marker store issues.
@@ -494,18 +494,7 @@ func (t *poTransfer) Branch(cond ast.Expr, outcome bool, s dataflow.OrderState) 
 	if !outcome {
 		return s
 	}
-	acquired := false
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.CallExpr:
-		acquired = ordClassify(calleeOf(t.info, e)).tryLock
-	case *ast.Ident:
-		obj := t.info.Uses[e]
-		if obj == nil {
-			obj = t.info.Defs[e]
-		}
-		acquired = t.tryBound[obj] == pmTryLockMachine
-	}
-	if acquired {
+	if call := t.tryBound.condCall(t.info, cond); call != nil && ordClassify(calleeOf(t.info, call)).tryLock {
 		return s.WithOrderEvent(dataflow.LowerModelOp(dataflow.MLock, t.design))
 	}
 	return s
@@ -688,7 +677,7 @@ func poSummarize(pass *Pass, decls []funcDecl) {
 					design:    design,
 					byPos:     map[token.Pos]int{},
 					rangeFn:   funcTypedRangeOps(pass.Pkg.Info, cfg),
-					tryBound:  bindPFTryLocks(pass.Pkg.Info, fd.decl.Body),
+					tryBound:  bindTryLocks(pass.Pkg.Info, fd.decl.Body),
 					summarize: true,
 				}
 				result := dataflow.Solve[dataflow.OrderState](cfg, tr)

@@ -4,12 +4,12 @@ import (
 	"testing"
 )
 
-func TestPersistOrderGolden(t *testing.T) { runGolden(t, PersistOrder, "persistordertest") }
+func TestPersistOrderGolden(t *testing.T) { runGolden(t, "persistordertest", PersistOrder) }
 
 // TestStateAnalyzersMissOrderCases is the acceptance check for the
 // order lattice: every fixture function flushes and fences all of its
 // stores before returning, so the persist-STATE analyzers (specpair,
-// barrierpair, persistflow) report nothing — including on commitFirst,
+// persistflow) report nothing — including on commitFirst,
 // which writes its commit marker before the data it guards is even
 // flushed. Only the persist-ORDER analyzer sees those.
 func TestStateAnalyzersMissOrderCases(t *testing.T) {
@@ -21,7 +21,7 @@ func TestStateAnalyzersMissOrderCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzers(l.Fset, pkgs, []*Analyzer{SpecPair, BarrierPair, PersistFlow})
+	diags, err := RunAnalyzers(l.Fset, pkgs, []*Analyzer{SpecPair, PersistFlow})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // pmOpKind classifies one callee's effect on the PM persistency state.
-// It is the shared vocabulary of the per-location analyzers
-// (persistflow, redundantbarrier); the coarse barrierpair predicates
-// (bpIsStore and friends) remain for the set-based model.
+// It is the shared vocabulary of the discipline analyzers (specpair's
+// lock/spec stack, persistflow's persist-state lattice) and of the
+// optimizers built on the persistflow engine.
 type pmOpKind int
 
 const (
@@ -130,6 +130,70 @@ func classifyPMOp(fn *types.Func) pmOp {
 		}
 	}
 	return none
+}
+
+// tryLockBinds maps each local assigned exactly once, from a TryLock
+// call (`ok := t.TryLock(lk)`), to that call, so a later branch on the
+// variable can acquire the lock on its success edge. A variable
+// assigned more than once stays unbound.
+type tryLockBinds map[types.Object]*ast.CallExpr
+
+func bindTryLocks(info *types.Info, body *ast.BlockStmt) tryLockBinds {
+	bound := tryLockBinds{}
+	dead := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if obj == nil {
+				continue
+			}
+			if _, seen := bound[obj]; seen || dead[obj] {
+				delete(bound, obj)
+				dead[obj] = true
+				continue
+			}
+			if len(as.Lhs) == len(as.Rhs) {
+				if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok {
+					switch classifyPMOp(calleeOf(info, call)).Kind {
+					case pmTryLockMachine, pmTryLockRaw:
+						bound[obj] = call
+						continue
+					}
+				}
+			}
+			dead[obj] = true
+		}
+		return true
+	})
+	return bound
+}
+
+// condCall returns the call a branch condition tests: the condition
+// itself, or the TryLock call bound to a condition variable; nil
+// otherwise.
+func (b tryLockBinds) condCall(info *types.Info, cond ast.Expr) *ast.CallExpr {
+	switch e := ast.Unparen(cond).(type) {
+	case *ast.CallExpr:
+		return e
+	case *ast.Ident:
+		obj := info.Uses[e]
+		if obj == nil {
+			obj = info.Defs[e]
+		}
+		return b[obj]
+	}
+	return nil
 }
 
 // flushSize returns the byte length of a pmFlush call's range when its

@@ -143,7 +143,7 @@ func (w *spWalker) reportf(pos token.Pos, format string, args ...any) {
 // analyze checks one function or closure body.
 func (w *spWalker) analyze(body *ast.BlockStmt) {
 	cfg := dataflow.Build(body)
-	tr := &spTransfer{w: w, bound: w.bindTryLocks(body)}
+	tr := &spTransfer{w: w, bound: bindTryLocks(w.info, body)}
 	res := dataflow.SolveAcyclic[spSet](cfg, tr)
 	if !tr.overflow {
 		// Report pass: replay every reached block once against its solved
@@ -205,57 +205,11 @@ func (w *spWalker) analyze(body *ast.BlockStmt) {
 	}
 }
 
-// bindTryLocks maps single-assignment locals bound to a TryLock result
-// (`ok := m.TryLock(t)`) to the lock event, so a later branch on the
-// variable is lock-sensitive.
-func (w *spWalker) bindTryLocks(body *ast.BlockStmt) map[types.Object]spEvent {
-	bound := map[types.Object]spEvent{}
-	dead := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := w.info.Defs[id]
-			if obj == nil {
-				obj = w.info.Uses[id]
-			}
-			if obj == nil {
-				continue
-			}
-			if _, seen := bound[obj]; seen || dead[obj] {
-				// Reassigned: the binding is no longer single-valued.
-				delete(bound, obj)
-				dead[obj] = true
-				continue
-			}
-			if len(as.Lhs) != len(as.Rhs) {
-				dead[obj] = true
-				continue
-			}
-			if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok {
-				if ev, ok := w.classify(call); ok && ev.op == "trylock" {
-					bound[obj] = ev
-					continue
-				}
-			}
-			dead[obj] = true
-		}
-		return true
-	})
-	return bound
-}
-
 // spTransfer is the dataflow client. During Solve, report is false and
 // Node/Branch are pure; the report pass re-runs them with report set.
 type spTransfer struct {
 	w        *spWalker
-	bound    map[types.Object]spEvent
+	bound    tryLockBinds
 	report   bool
 	overflow bool
 	lits     []*ast.FuncLit
@@ -335,17 +289,8 @@ func (t *spTransfer) Branch(cond ast.Expr, outcome bool, s spSet) spSet {
 }
 
 func (t *spTransfer) tryLockCond(cond ast.Expr) (spEvent, bool) {
-	switch x := ast.Unparen(cond).(type) {
-	case *ast.CallExpr:
-		if ev, ok := t.w.classify(x); ok && ev.op == "trylock" {
-			return ev, true
-		}
-	case *ast.Ident:
-		obj := t.w.info.Uses[x]
-		if obj == nil {
-			obj = t.w.info.Defs[x]
-		}
-		if ev, ok := t.bound[obj]; ok {
+	if call := t.bound.condCall(t.w.info, cond); call != nil {
+		if ev, ok := t.w.classify(call); ok && ev.op == "trylock" {
 			return ev, true
 		}
 	}
@@ -453,34 +398,28 @@ func (t *spTransfer) applyPop(stack []spTok, ev spEvent) []spTok {
 // classify maps a call to its stack event, if it is one of the paired
 // APIs.
 func (w *spWalker) classify(call *ast.CallExpr) (spEvent, bool) {
-	fn := calleeOf(w.info, call)
-	if fn == nil {
+	kind := classifyPMOp(calleeOf(w.info, call)).Kind
+	pos := call.Pos()
+	var tok spTok
+	switch kind {
+	case pmLockMachine, pmUnlockMachine, pmTryLockMachine:
+		name := receiverExprString(call)
+		if len(call.Args) > 0 {
+			name = exprString(call.Args[0])
+		}
+		tok = spTok{kind: "cs", name: name, pos: pos}
+	case pmLockRaw, pmUnlockRaw, pmTryLockRaw:
+		tok = spTok{kind: "lock", name: receiverExprString(call), pos: pos}
+	case pmSpecAssign, pmSpecRevoke:
+		tok = spTok{kind: "spec", pos: pos}
+	default:
 		return spEvent{}, false
 	}
-	pos := call.Pos()
-	lockName := func() string {
-		if len(call.Args) > 0 {
-			return exprString(call.Args[0])
-		}
-		return receiverExprString(call)
+	switch kind {
+	case pmLockMachine, pmLockRaw, pmSpecAssign:
+		return spEvent{op: "push", tok: tok}, true
+	case pmTryLockMachine, pmTryLockRaw:
+		return spEvent{op: "trylock", tok: tok, pos: pos}, true
 	}
-	switch {
-	case isMethod(fn, "internal/machine", "Thread", "Lock"):
-		return spEvent{op: "push", tok: spTok{kind: "cs", name: lockName(), pos: pos}}, true
-	case isMethod(fn, "internal/machine", "Thread", "Unlock"):
-		return spEvent{op: "pop", want: "cs", tok: spTok{kind: "cs", name: lockName(), pos: pos}, pos: pos}, true
-	case isMethod(fn, "internal/machine", "Thread", "TryLock"):
-		return spEvent{op: "trylock", tok: spTok{kind: "cs", name: lockName(), pos: pos}, pos: pos}, true
-	case isMethod(fn, "internal/sim", "Mutex", "Lock"):
-		return spEvent{op: "push", tok: spTok{kind: "lock", name: receiverExprString(call), pos: pos}}, true
-	case isMethod(fn, "internal/sim", "Mutex", "Unlock"):
-		return spEvent{op: "pop", want: "lock", tok: spTok{kind: "lock", name: receiverExprString(call), pos: pos}, pos: pos}, true
-	case isMethod(fn, "internal/sim", "Mutex", "TryLock"):
-		return spEvent{op: "trylock", tok: spTok{kind: "lock", name: receiverExprString(call), pos: pos}, pos: pos}, true
-	case isMethod(fn, "internal/machine", "Thread", "SpecAssign"):
-		return spEvent{op: "push", tok: spTok{kind: "spec", pos: pos}}, true
-	case isMethod(fn, "internal/machine", "Thread", "SpecRevoke"):
-		return spEvent{op: "pop", want: "spec", tok: spTok{kind: "spec", pos: pos}, pos: pos}, true
-	}
-	return spEvent{}, false
+	return spEvent{op: "pop", want: tok.kind, tok: tok, pos: pos}, true
 }

@@ -1,6 +1,6 @@
-// Package epochmergetest is the epochmerge golden fixture: each
-// // want comment names a substring of the diagnostic the analyzer
-// must report on that line; the refusal cases (intervening flushes —
+// Package epochmergetest is the epochmerge golden fixture, run with
+// persistflow: each // want comment names a substring of the
+// diagnostic one of them must report on that line; the refusal cases (intervening flushes —
 // the cross-epoch conflict, conditional fences, opaque calls, escaping
 // returns) are verified by their silence.
 package epochmergetest
@@ -34,13 +34,13 @@ func logThenData(t *machine.Thread, m persist.Model, a, b mem.Addr) {
 	m.DurableBarrier(t)
 }
 
-// witnessedByDurable: a durability barrier is strictly stronger than
-// an ordering one and witnesses it the same way.
+// witnessedByDurable: a durable barrier witnesses the epoch like an
+// ordering one (stronger); b is never flushed, a persistflow finding.
 func witnessedByDurable(t *machine.Thread, m persist.Model, a, b mem.Addr) {
 	t.StoreU64(a, 1)
 	m.Flush(t, a, 8)
 	m.OrderBarrier(t) // want "epochs merge"
-	t.StoreU64(b, 2)
+	t.StoreU64(b, 2)  // want "still dirty at return"
 	m.DurableBarrier(t)
 }
 

@@ -1,9 +1,9 @@
 // Package persistflowtest is the persistflow golden fixture: each
 // // want comment names a substring of the diagnostic the analyzer
-// must report on that line. Every case here is deliberately invisible
-// to the coarse barrierpair model (one flush clears its whole pending
-// set; a fence wipes it) — TestCoarseAnalyzersMissPersistFlowCases
-// asserts the PR 3 analyzers stay silent on this entire package.
+// must report on that line. Every case needs per-location state: a
+// coarse model (one flush clears every pending store, one fence clears
+// everything) sees none of them. TestCoarseAnalyzersMissPersistFlowCases
+// asserts specpair stays silent on this entire package.
 package persistflowtest
 
 import (
@@ -88,7 +88,7 @@ func fenceSkipsLate(t *machine.Thread, m persist.Model, a mem.Addr) {
 
 // rawLockStore holds only a raw sim mutex: the spec-tracked store has
 // no spec ID to ride on, violating the §6 compiler rule. The store is
-// properly flushed and fenced, so barrierpair sees nothing.
+// properly flushed and fenced, so only the §6 check fires.
 func rawLockStore(t *machine.Thread, st *sim.Thread, m persist.Model, lk *sim.Mutex, a mem.Addr) {
 	lk.Lock(st)
 	t.StoreU64(a, 1) // want "no open SpecAssign span"

@@ -1,7 +1,7 @@
 // Package persistordertest is the persistorder fixture: declared
 // data-before-commit-marker invariants checked against every design's
 // barrier lowering. Every function here is CLEAN under the persist-
-// state analyzers (specpair, barrierpair, persistflow) — each store is
+// state analyzers (specpair, persistflow) — each store is
 // flushed and fenced before return — which is exactly the point: a
 // commit marker written before its data is ordered is invisible to
 // state tracking and only the order lattice catches it

@@ -176,7 +176,7 @@ func (r *Runtime) Model() persist.Model { return r.model }
 // unfenced: their values are dead, only the cache-line allocation
 // matters.
 //
-//lint:allow barrierpair
+//lint:allow persistflow
 func (r *Runtime) WarmLog(t *machine.Thread) {
 	base := logBase(r.m.Space().Base(), t.Core())
 	for off := mem.Addr(0); off < LogRegionBytes; off += mem.BlockSize {

@@ -252,11 +252,11 @@ func (x *Tx) StoreU64(a mem.Addr, v uint64) {
 // storeOne appends one log entry and flushes it. Ordering is deferred:
 // redo entries only have to be durable before the commit marker, and
 // attemptTx issues that single DurableBarrier — the scheme's whole
-// point is avoiding a per-store fence. Both the coarse and the
-// per-location analyzer would flag the flushed-but-unordered entries at
-// return; the protocol orders them one call layer up.
+// point is avoiding a per-store fence. The per-location analyzer would
+// flag the flushed-but-unordered entries at return; the protocol orders
+// them one call layer up.
 //
-//lint:allow barrierpair, persistflow
+//lint:allow persistflow
 func (x *Tx) storeOne(a mem.Addr, p []byte) {
 	if x.count >= EntryCap {
 		panic(fmt.Sprintf("fatomic: transaction exceeded %d log entries", EntryCap))

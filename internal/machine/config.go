@@ -10,6 +10,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 
 	"pmemspec/internal/pmc"
 	"pmemspec/internal/ppath"
@@ -63,6 +64,27 @@ func (d Design) String() string {
 	default:
 		return fmt.Sprintf("Design(%d)", int(d))
 	}
+}
+
+// ParseDesign parses a design name: a Design.String name in any case
+// ("PMEM-Spec", "strandweaver") or one of the aliases x86, pmemspec,
+// spec and strand.
+func ParseDesign(s string) (Design, error) {
+	name := strings.ToLower(s)
+	switch name {
+	case "x86":
+		return IntelX86, nil
+	case "pmemspec", "spec":
+		return PMEMSpec, nil
+	case "strand":
+		return Strand, nil
+	}
+	for _, d := range AllDesigns {
+		if strings.ToLower(d.String()) == name {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown design %q (intelx86|dpo|hops|strand|pmemspec)", s)
 }
 
 // MarshalText renders the design name in JSON map keys and text output.

@@ -163,18 +163,6 @@ func (r *Report) TotalDelta() int64 {
 	return sum
 }
 
-// DesignByName parses a machine design name as printed by
-// Design.String ("IntelX86", "DPO", "HOPS", "StrandWeaver",
-// "PMEM-Spec").
-func DesignByName(name string) (machine.Design, error) {
-	for _, d := range machine.AllDesigns {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("opt: unknown design %q", name)
-}
-
 // optAnalyzer resolves one optimization analyzer by name.
 func optAnalyzer(name string) (*analysis.Analyzer, error) {
 	for _, a := range analysis.OptAnalyzers() {
@@ -435,7 +423,7 @@ func Campaign(workloads, designNames []string, p workload.Params, k CampaignKnob
 	k = k.withDefaults()
 	var ds []machine.Design
 	for _, n := range designNames {
-		d, err := DesignByName(n)
+		d, err := machine.ParseDesign(n)
 		if err != nil {
 			return nil, err
 		}

@@ -29,18 +29,6 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-func TestDesignByName(t *testing.T) {
-	for _, d := range machine.AllDesigns {
-		got, err := DesignByName(d.String())
-		if err != nil || got != d {
-			t.Errorf("DesignByName(%q) = %v, %v", d.String(), got, err)
-		}
-	}
-	if _, err := DesignByName("NVDIMM-9000"); err == nil {
-		t.Error("unknown design accepted")
-	}
-}
-
 // TestApplicabilityCoversAllOptimizations pins the applicability table
 // to the analyzer registry: a new optimization analyzer must declare
 // its design scope here.

@@ -107,7 +107,7 @@ func TestDifferentialSingleThread(t *testing.T) {
 		p := Generate(seed, genCfg(1))
 		var ref []byte
 		var refDesign machine.Design
-		for _, d := range machine.Designs {
+		for _, d := range machine.AllDesigns {
 			m := newMachine(t, d)
 			if _, err := p.Replay(m); err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, d, err)
@@ -144,7 +144,7 @@ func TestDifferentialValueMembership(t *testing.T) {
 				}
 			}
 		}
-		for _, d := range machine.Designs {
+		for _, d := range machine.AllDesigns {
 			m := newMachine(t, d)
 			if _, err := p.Replay(m); err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, d, err)
@@ -184,7 +184,7 @@ func TestReplayDeterministic(t *testing.T) {
 func TestDesignsDifferInTiming(t *testing.T) {
 	p := Generate(9, genCfg(4))
 	times := map[int64]bool{}
-	for _, d := range machine.Designs {
+	for _, d := range machine.AllDesigns {
 		m := newMachine(t, d)
 		tm, err := p.Replay(m)
 		if err != nil {
