@@ -124,6 +124,13 @@ go build ./...
 stage test "go test $short ./..."
 go test $short ./...
 
+stage bench-smoke "layer microbenchmarks, one iteration each"
+# Runs every benchmark of the cache, memory and kernel layers once, so a
+# benchmark that panics or fails its own checks breaks the build instead
+# of rotting behind a compile-only pass. One iteration times nothing
+# meaningful; compare layers with a real -benchtime by hand.
+go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/mem ./internal/sim
+
 stage coverage "coverage floor (./internal/...)"
 # Statement coverage over the simulator packages, gated on the
 # checked-in floor (COVERAGE_FLOOR). -short always: the floor tracks the

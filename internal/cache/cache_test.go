@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -217,11 +219,10 @@ func TestHierarchyLLCEvictionReportedAndL1Invalidated(t *testing.T) {
 	h.FillFromMemory(0, a, nil)
 	h.Store(0, a)
 	res := h.FillFromMemory(0, b, nil)
-	if len(res.LLCEvicted) != 1 {
-		t.Fatalf("LLCEvicted = %v, want 1 entry", res.LLCEvicted)
+	if !res.LLCEvicted {
+		t.Fatal("no LLC victim reported")
 	}
-	ev := res.LLCEvicted[0]
-	if ev.Addr != a || !ev.Dirty {
+	if ev := res.LLCVictim; ev.Addr != a || !ev.Dirty {
 		t.Errorf("evicted %+v, want dirty block a", ev)
 	}
 	if h.L1(0).Peek(a) != nil {
@@ -302,5 +303,273 @@ func TestHierarchyInclusionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestCacheAllocatesOnFirstFill(t *testing.T) {
+	c := New("t", 256*16*mem.BlockSize, 16) // 256 sets: 4 chunks
+	far := mem.Addr(255 * mem.BlockSize)    // last set of the last chunk
+	if c.Lookup(far) != nil || c.Peek(far) != nil {
+		t.Fatal("hit in empty cache")
+	}
+	if _, ok := c.Invalidate(far); ok {
+		t.Fatal("invalidate hit in empty cache")
+	}
+	if n := c.AllocatedSets(); n != 0 {
+		t.Fatalf("probes of an empty cache allocated %d sets", n)
+	}
+	c.Insert(far)
+	c.Insert(far + mem.Addr(c.Sets())*mem.BlockSize) // same set, same chunk
+	if n := c.AllocatedSets(); n != chunkSets {
+		t.Fatalf("two fills of one set allocated %d sets, want %d", n, chunkSets)
+	}
+	c.Flush()
+	if n := c.AllocatedSets(); n != 0 {
+		t.Fatalf("Flush left %d sets allocated", n)
+	}
+	if c.Peek(far) != nil {
+		t.Fatal("block survives Flush")
+	}
+	if l, _, evicted := c.Insert(far); l == nil || evicted || c.Peek(far) != l {
+		t.Fatal("refill after Flush failed")
+	}
+}
+
+func TestHierarchyWarmAccessAllocatesNothing(t *testing.T) {
+	// 1-way 4-set LLC, so every fill of a new block evicts a line: the
+	// victim travels by value, never through an allocated slice.
+	h := NewHierarchy(1, 2*mem.BlockSize, 1, 4*mem.BlockSize, 1, 0, 1<<16)
+	a, b := mem.Addr(0x0000), mem.Addr(0x0100) // same LLC set
+	h.FillFromMemory(0, a, nil)
+	h.FillFromMemory(0, b, nil)
+	next := a
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Store(0, next)
+		if res := h.FillFromMemory(0, next, nil); !res.LLCEvicted {
+			t.Fatal("fill of a conflicting block evicted nothing")
+		}
+		next ^= a ^ b
+	})
+	if allocs != 0 {
+		t.Errorf("warm evicting fill allocates %.1f times per access", allocs)
+	}
+}
+
+// flatCache is the reference model for the chunked Cache: one eagerly
+// allocated flat array of tags, LRU timestamps and lines over every set,
+// cleared in place by Flush. The chunked cache must be indistinguishable
+// from it through the Cache API.
+type flatCache struct {
+	tags     []uint64
+	uses     []uint64
+	lines    []Line
+	ways     int
+	setMask  uint64
+	setShift uint
+	counter  uint64
+	Stats    Stats
+}
+
+func newFlatCache(sizeBytes, ways int) *flatCache {
+	nsets := sizeBytes / (ways * mem.BlockSize)
+	c := &flatCache{
+		tags:     make([]uint64, nsets*ways),
+		uses:     make([]uint64, nsets*ways),
+		lines:    make([]Line, nsets*ways),
+		ways:     ways,
+		setMask:  uint64(nsets - 1),
+		setShift: 6,
+	}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+	return c
+}
+
+func (c *flatCache) setBase(a mem.Addr) uint64 {
+	return (uint64(a) >> c.setShift & c.setMask) * uint64(c.ways)
+}
+
+func (c *flatCache) Lookup(a mem.Addr) *Line {
+	blk := mem.BlockAlign(a)
+	base := c.setBase(blk)
+	for i, t := range c.tags[base : base+uint64(c.ways)] {
+		if t == uint64(blk) {
+			c.counter++
+			c.uses[base+uint64(i)] = c.counter
+			c.Stats.Hits++
+			return &c.lines[base+uint64(i)]
+		}
+	}
+	c.Stats.Misses++
+	return nil
+}
+
+func (c *flatCache) Peek(a mem.Addr) *Line {
+	blk := mem.BlockAlign(a)
+	base := c.setBase(blk)
+	for i, t := range c.tags[base : base+uint64(c.ways)] {
+		if t == uint64(blk) {
+			return &c.lines[base+uint64(i)]
+		}
+	}
+	return nil
+}
+
+func (c *flatCache) Insert(a mem.Addr) (line *Line, ev Evicted, evicted bool) {
+	blk := mem.BlockAlign(a)
+	base := c.setBase(blk)
+	invalid, lruIdx := -1, -1
+	var lruUse uint64
+	for i, t := range c.tags[base : base+uint64(c.ways)] {
+		if t == uint64(blk) {
+			c.counter++
+			c.uses[base+uint64(i)] = c.counter
+			return &c.lines[base+uint64(i)], Evicted{}, false
+		}
+		if t == invalidTag {
+			if invalid < 0 {
+				invalid = int(base) + i
+			}
+			continue
+		}
+		if u := c.uses[base+uint64(i)]; lruIdx < 0 || u < lruUse {
+			lruIdx = int(base) + i
+			lruUse = u
+		}
+	}
+	victim := invalid
+	if victim < 0 {
+		victim = lruIdx
+	}
+	v := &c.lines[victim]
+	if v.valid {
+		ev = Evicted{Addr: v.addr, Dirty: v.dirty, Divergent: v.divergent}
+		evicted = true
+		c.Stats.Evictions++
+		if v.dirty {
+			c.Stats.DirtyEvictions++
+		}
+	}
+	c.counter++
+	*v = Line{addr: blk, valid: true}
+	c.tags[victim] = uint64(blk)
+	c.uses[victim] = c.counter
+	return v, ev, evicted
+}
+
+func (c *flatCache) Invalidate(a mem.Addr) (ev Evicted, ok bool) {
+	blk := mem.BlockAlign(a)
+	base := c.setBase(blk)
+	for i, t := range c.tags[base : base+uint64(c.ways)] {
+		if t == uint64(blk) {
+			l := &c.lines[base+uint64(i)]
+			ev = Evicted{Addr: l.addr, Dirty: l.dirty, Divergent: l.divergent}
+			*l = Line{}
+			c.tags[base+uint64(i)] = invalidTag
+			return ev, true
+		}
+	}
+	return Evicted{}, false
+}
+
+func (c *flatCache) Flush() {
+	clear(c.lines)
+	clear(c.uses)
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
+}
+
+// TestCacheMatchesFlatReference drives the chunked cache and the flat
+// reference model with the same seeded random operation sequences and
+// requires identical results after every step: the same line (address,
+// dirtiness, stale override), the same evictions in the same order and
+// the same statistics. The address pool holds block 0, the last set of
+// the last chunk, the same in-chunk set in every chunk, and more tags per
+// set than there are ways, so LRU victims are exercised in every chunk.
+func TestCacheMatchesFlatReference(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{
+		{4 * chunkSets, 16}, // multi-chunk, LLC associativity
+		{8, 2},              // fewer sets than one chunk
+	} {
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("%dx%d/seed%d", g.sets, g.ways, seed), func(t *testing.T) {
+				diffCache(t, g.sets, g.ways, seed, 4000)
+			})
+		}
+	}
+}
+
+func diffCache(t *testing.T, sets, ways int, seed int64, steps int) {
+	size := sets * ways * mem.BlockSize
+	got, want := New("lazy", size, ways), newFlatCache(size, ways)
+	rng := rand.New(rand.NewSource(seed))
+	hotSets := []int{0, 1, chunkSets - 1, sets - 1, sets / 2}
+	for c := 0; c*chunkSets < sets; c++ {
+		hotSets = append(hotSets, (c*chunkSets+5)%sets) // one in-chunk set, every chunk
+	}
+	addr := func() mem.Addr {
+		set := hotSets[rng.Intn(len(hotSets))]
+		if rng.Intn(4) == 0 {
+			set = rng.Intn(sets)
+		}
+		tag := uint64(rng.Intn(ways + ways/2 + 1))
+		if rng.Intn(16) == 0 {
+			tag += 1 << 30 // a distant alias of the same set
+		}
+		return mem.Addr((tag*uint64(sets)+uint64(set))*mem.BlockSize + uint64(rng.Intn(mem.BlockSize)))
+	}
+	sameLine := func(step int, op string, a mem.Addr, g, w *Line) {
+		t.Helper()
+		if (g == nil) != (w == nil) {
+			t.Fatalf("step %d %s(%#x): line %v, reference %v", step, op, uint64(a), g != nil, w != nil)
+		}
+		if g != nil && (g.Addr() != w.Addr() || g.Dirty() != w.Dirty() || g.Divergent() != w.Divergent()) {
+			t.Fatalf("step %d %s(%#x): line %+v, reference %+v", step, op, uint64(a), *g, *w)
+		}
+	}
+	stale := make([]*[mem.BlockSize]byte, 8)
+	for i := range stale {
+		stale[i] = new([mem.BlockSize]byte)
+	}
+	for step := 0; step < steps; step++ {
+		a := addr()
+		switch op := rng.Intn(1000); {
+		case op < 400:
+			g, gev, gok := got.Insert(a)
+			w, wev, wok := want.Insert(a)
+			if rng.Intn(4) == 0 { // a stale fill carries an override
+				d := stale[rng.Intn(len(stale))]
+				g.divergent, w.divergent = d, d
+			}
+			sameLine(step, "Insert", a, g, w)
+			if gok != wok || gev != wev {
+				t.Fatalf("step %d Insert(%#x): evicted %v %+v, reference %v %+v", step, uint64(a), gok, gev, wok, wev)
+			}
+		case op < 650:
+			sameLine(step, "Lookup", a, got.Lookup(a), want.Lookup(a))
+		case op < 780:
+			sameLine(step, "Peek", a, got.Peek(a), want.Peek(a))
+		case op < 860:
+			g, w := got.Peek(a), want.Peek(a)
+			sameLine(step, "Peek", a, g, w)
+			if g != nil {
+				g.MarkDirty()
+				w.MarkDirty()
+			}
+		case op < 998:
+			gev, gok := got.Invalidate(a)
+			wev, wok := want.Invalidate(a)
+			if gok != wok || gev != wev {
+				t.Fatalf("step %d Invalidate(%#x): %v %+v, reference %v %+v", step, uint64(a), gok, gev, wok, wev)
+			}
+		default: // rare, so sets fill up and evict between flushes
+			got.Flush()
+			want.Flush()
+		}
+		if got.Stats != want.Stats {
+			t.Fatalf("step %d: stats %+v, reference %+v", step, got.Stats, want.Stats)
+		}
 	}
 }

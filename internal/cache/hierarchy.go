@@ -41,9 +41,13 @@ type AccessResult struct {
 	Level Level
 	// Line is the L1 line now holding the block (after any fill).
 	Line *Line
-	// LLCEvicted lists blocks displaced from the LLC by this access, in
-	// eviction order. The machine layer decides their fate per design.
-	LLCEvicted []Evicted
+	// LLCVictim is the block this access displaced from the LLC, with
+	// the dirtiness of its L1 copies merged in; meaningful only when
+	// LLCEvicted is set. An access fills the LLC at most once, so it
+	// displaces at most one block. The machine layer decides its fate
+	// per design.
+	LLCVictim  Evicted
+	LLCEvicted bool
 }
 
 // Hierarchy is the full simulated cache system: one private L1 per core
@@ -95,16 +99,12 @@ func (h *Hierarchy) Load(core int, a mem.Addr) AccessResult {
 	if l := h.l1s[core].Lookup(blk); l != nil {
 		return AccessResult{Level: LevelL1, Line: l}
 	}
-	var res AccessResult
 	if l := h.llc.Lookup(blk); l != nil {
-		res.Level = LevelLLC
 		// Inherit any stale override the LLC copy carries.
-		res.Line = h.fillL1(core, blk, l.divergent, &res)
-		return res
+		return AccessResult{Level: LevelLLC, Line: h.fillL1(core, blk, l.divergent)}
 	}
 	// Miss everywhere: the caller fetches from PM, then calls FillFromMemory.
-	res.Level = LevelMemory
-	return res
+	return AccessResult{Level: LevelMemory}
 }
 
 // FillFromMemory installs a block fetched from the PM controller into the
@@ -113,14 +113,13 @@ func (h *Hierarchy) Load(core int, a mem.Addr) AccessResult {
 // stale read); pass nil for an up-to-date fetch.
 func (h *Hierarchy) FillFromMemory(core int, a mem.Addr, divergent *[mem.BlockSize]byte) AccessResult {
 	blk := mem.BlockAlign(a)
-	var res AccessResult
+	res := AccessResult{Level: LevelMemory}
 	llcLine, ev, evicted := h.llc.Insert(blk)
 	llcLine.divergent = divergent
 	if evicted {
-		h.evictFromLLC(ev, &res)
+		res.LLCVictim, res.LLCEvicted = h.evictFromLLC(ev), true
 	}
-	res.Level = LevelMemory
-	res.Line = h.fillL1(core, blk, divergent, &res)
+	res.Line = h.fillL1(core, blk, divergent)
 	return res
 }
 
@@ -136,17 +135,13 @@ func (h *Hierarchy) Store(core int, a mem.Addr) AccessResult {
 		l.dirty = true
 		return AccessResult{Level: LevelL1, Line: l}
 	}
-	var res AccessResult
 	if l := h.llc.Lookup(blk); l != nil {
-		res.Level = LevelLLC
-		line := h.fillL1(core, blk, l.divergent, &res)
+		line := h.fillL1(core, blk, l.divergent)
 		h.invalidateOthers(core, blk)
 		line.dirty = true
-		res.Line = line
-		return res
+		return AccessResult{Level: LevelLLC, Line: line}
 	}
-	res.Level = LevelMemory
-	return res
+	return AccessResult{Level: LevelMemory}
 }
 
 // CompleteStore marks the freshly filled line dirty after a write-
@@ -162,7 +157,7 @@ func (h *Hierarchy) CompleteStore(core int, a mem.Addr) {
 
 // fillL1 installs blk into core's L1, folding any displaced dirty line
 // back into the LLC (which is inclusive, so the block is present there).
-func (h *Hierarchy) fillL1(core int, blk mem.Addr, divergent *[mem.BlockSize]byte, res *AccessResult) *Line {
+func (h *Hierarchy) fillL1(core int, blk mem.Addr, divergent *[mem.BlockSize]byte) *Line {
 	line, ev, evicted := h.l1s[core].Insert(blk)
 	line.divergent = divergent
 	*h.sharers.Ptr(blk) |= 1 << uint(core)
@@ -220,8 +215,8 @@ func (h *Hierarchy) invalidateOthers(core int, blk mem.Addr) {
 }
 
 // evictFromLLC handles an LLC victim: invalidate all L1 copies (inclusive
-// hierarchy), merge their dirtiness, and report the final eviction.
-func (h *Hierarchy) evictFromLLC(ev Evicted, res *AccessResult) {
+// hierarchy), merge their dirtiness, and return the final eviction.
+func (h *Hierarchy) evictFromLLC(ev Evicted) Evicted {
 	var bm uint64
 	if e := h.sharers.Find(ev.Addr); e != nil {
 		bm, *e = *e, 0
@@ -241,7 +236,7 @@ func (h *Hierarchy) evictFromLLC(ev Evicted, res *AccessResult) {
 			}
 		}
 	}
-	res.LLCEvicted = append(res.LLCEvicted, ev)
+	return ev
 }
 
 func (h *Hierarchy) clearSharer(core int, blk mem.Addr) {
@@ -296,7 +291,9 @@ func (h *Hierarchy) Cached(a mem.Addr) bool {
 	return h.llc.Peek(a) != nil
 }
 
-// FlushAll drops the entire volatile hierarchy (crash).
+// FlushAll drops the entire volatile hierarchy (crash): every cache's
+// chunks and the sharer pages. Line pointers obtained before it must not
+// be used after it (see Cache.Flush).
 func (h *Hierarchy) FlushAll() {
 	for _, c := range h.l1s {
 		c.Flush()

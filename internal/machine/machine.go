@@ -518,37 +518,35 @@ func (m *Machine) MaxThreadClock() sim.Time {
 	return max
 }
 
-// handleLLCEvictions applies the design's dirty-eviction policy to
-// blocks displaced from the LLC at thread-time `now`.
-func (m *Machine) handleLLCEvictions(now sim.Time, evs []cache.Evicted) {
-	for _, ev := range evs {
-		if !ev.Dirty {
-			continue
-		}
-		switch m.cfg.Design {
-		case IntelX86, Strand:
-			// Dirty eviction writes back to PM (StrandWeaver explicitly
-			// writes dirty lines back before eviction, §3.1): snapshot
-			// the coherent block now; it becomes durable at WPQ
-			// admission.
-			m.stats.DirtyWritebacksToPM++
-			at := now + m.cfg.WritebackLatency
-			bw := blockWrite{at: at, addr: ev.Addr}
-			bw.snap = m.space.Arch.ReadBlock(ev.Addr)
-			m.wbArrivals.entries = append(m.wbArrivals.entries, bw)
-			m.kernel.ScheduleHandler(at, &m.wbArrivals, uint64(at))
-		case PMEMSpec:
-			// Data dropped silently, but the owning controller receives
-			// the WriteBack notification that arms load-misspeculation
-			// monitoring (§5.1.4).
-			m.stats.DroppedDirtyWritebacks++
-			at := now + m.cfg.WritebackLatency
-			m.wbNotices.entries = append(m.wbNotices.entries, wbNotice{at: at, addr: ev.Addr})
-			m.kernel.ScheduleHandler(at, &m.wbNotices, uint64(at))
-		default: // HOPS, DPO
-			// Dropped silently; the persist buffers carry persistence.
-			m.stats.DroppedDirtyWritebacks++
-		}
+// handleLLCEviction applies the design's dirty-eviction policy to a
+// block displaced from the LLC at thread-time `now`.
+func (m *Machine) handleLLCEviction(now sim.Time, ev cache.Evicted) {
+	if !ev.Dirty {
+		return
+	}
+	switch m.cfg.Design {
+	case IntelX86, Strand:
+		// Dirty eviction writes back to PM (StrandWeaver explicitly
+		// writes dirty lines back before eviction, §3.1): snapshot
+		// the coherent block now; it becomes durable at WPQ
+		// admission.
+		m.stats.DirtyWritebacksToPM++
+		at := now + m.cfg.WritebackLatency
+		bw := blockWrite{at: at, addr: ev.Addr}
+		bw.snap = m.space.Arch.ReadBlock(ev.Addr)
+		m.wbArrivals.entries = append(m.wbArrivals.entries, bw)
+		m.kernel.ScheduleHandler(at, &m.wbArrivals, uint64(at))
+	case PMEMSpec:
+		// Data dropped silently, but the owning controller receives
+		// the WriteBack notification that arms load-misspeculation
+		// monitoring (§5.1.4).
+		m.stats.DroppedDirtyWritebacks++
+		at := now + m.cfg.WritebackLatency
+		m.wbNotices.entries = append(m.wbNotices.entries, wbNotice{at: at, addr: ev.Addr})
+		m.kernel.ScheduleHandler(at, &m.wbNotices, uint64(at))
+	default: // HOPS, DPO
+		// Dropped silently; the persist buffers carry persistence.
+		m.stats.DroppedDirtyWritebacks++
 	}
 }
 
